@@ -1,11 +1,15 @@
 """Bell-measurement graph strategies: operator, matrix-free path, verification."""
 
+import time
+
 import numpy as np
 import pytest
 
 from conftest import random_unit
+from graphgen import connected_graphs
 from qsvkit.graph_strategy import (
     MATRIX_FREE_DEFAULT_FROM,
+    _gram_compressions,
     apply_omega,
     bell_outcome_amplitudes,
     decide_parity_pass,
@@ -27,6 +31,10 @@ CYCLE5 = Graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
 
 def swap_conjugate(entries: np.ndarray, d: int) -> np.ndarray:
     return entries.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(d * d, d * d)
+
+
+def swap_columns(block: np.ndarray, d: int) -> np.ndarray:
+    return block.reshape(d, d, -1).transpose(1, 0, 2).reshape(d * d, -1)
 
 
 # ---------------------------------------------------------------------
@@ -158,6 +166,50 @@ def test_verify_graph_optimality_matrix_free_route():
     report5 = verify_graph_optimality(omega_graph(CYCLE5))
     assert report5.route == "matrix_free"
     assert report5.passed
+
+
+def test_gram_compressions_match_dense_off_target(rng):
+    # Graph states make every scalar vanish, so compare the full matrices on
+    # random states, where a wrong sign or factor in a Gram formula shows.
+    for n in (1, 2, 3):
+        for g in connected_graphs(n):
+            d = 1 << n
+            psi = random_unit(rng, d)
+            omega = omega_graph(g, matrix_free=False).strategy.omega.entries
+            w = np.kron(psi[:, None], orthonormal_complement(psi))
+            sym = (w + swap_columns(w, d)) / 2.0
+            gam = w.conj().T @ swap_columns(omega @ w, d)
+            expected = (
+                2.0 * sym.conj().T @ omega @ sym,
+                gam,
+                gam / 2.0 + w.conj().T @ omega @ w,
+                np.linalg.norm(omega @ sym, axis=0),
+            )
+            assert min(np.max(np.abs(ref)) for ref in expected) > 1e-3
+            for mat, ref in zip(_gram_compressions(g, psi), expected):
+                assert mat.shape == ref.shape
+                assert np.max(np.abs(mat - ref)) < 1e-12
+
+
+def test_verify_graph_optimality_routes_agree():
+    for n in (1, 2, 3):
+        for g in connected_graphs(n):
+            dense = verify_graph_optimality(omega_graph(g, matrix_free=False))
+            free = verify_graph_optimality(omega_graph(g, matrix_free=True))
+            assert (dense.route, free.route) == ("dense", "matrix_free")
+            assert dense.passed and free.passed
+            for name in ("lambda_star", "gamma_star", "xi_star"):
+                assert abs(getattr(dense, name) - getattr(free, name)) < 1e-12
+            assert dense.annihilation_residual == free.annihilation_residual
+
+
+def test_verify_graph_optimality_ring9_within_budget():
+    ring9 = Graph(9, [(i, i % 9 + 1) for i in range(1, 10)])
+    started = time.monotonic()
+    report = verify_graph_optimality(omega_graph(ring9))
+    assert time.monotonic() - started < 10.0
+    assert report.route == "matrix_free"
+    assert report.passed
 
 
 # ---------------------------------------------------------------------
