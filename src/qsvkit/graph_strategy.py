@@ -16,25 +16,30 @@ Matrix-free path: the operator is a sum of 2^n rank-1 projectors onto
 orthonormal accept kets K_b, so its action on a vector costs one
 Walsh-Hadamard-sized matrix product instead of a 16^n dense multiply, and
 every two-copy compression over (target (x) target-perp) is a small Gram
-matrix of the overlaps <K_b|target (x) v_i> and <K_b|v_i (x) target>.
+matrix of the overlaps <K_b|target (x) v_i>. Every accept ket is
+swap-symmetric, so the overlaps with v_i (x) target are the same numbers.
 Verification builds those overlaps with one 2^n x 2^n product and reads all
-scalars off them in O(8^n) work. Construction defaults to matrix-free from
-n = 5 and leaves the dense operator out of the strategy field in that mode;
-unit tests and small graphs use the dense form.
+scalars off one Gram matrix in O(8^n) work.
+
+Dense form: construction never builds the dense 4^n x 4^n operator. The
+strategy field builds it on first read, as the real product K K^T of the
+accept-ket matrix, and is None in matrix-free mode. Construction defaults to
+matrix-free from n = 5; unit tests and small graphs read the dense form.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import hadamard
 
 from .graphs import Graph, GraphCode, graph_state, interleaved_permutation, parity_code
 from .qcore import (
     DENSE_DIM_CAP,
     Ket,
     Operator,
+    hadamard,
     orthonormal_complement,
 )
 from .strategy import Strategy, two_copy_analysis
@@ -51,13 +56,31 @@ class GraphStrategy:
     """Two-copy graph strategy with its register-layout permutation.
 
     ``strategy`` holds the dense accept operator (target graph_state(graph),
-    copies = 2) and is None in matrix-free mode, where the operator is only
-    ever applied through apply_omega or compressed through its accept kets.
+    copies = 2). It is built on first read and kept, and it is None in
+    matrix-free mode (``dense`` false), where the operator is only ever
+    applied through apply_omega or compressed through its accept kets.
     """
 
     graph: Graph
-    strategy: Strategy | None
     layout: np.ndarray
+    dense: bool
+
+    @functools.cached_property
+    def strategy(self) -> Strategy | None:
+        """Dense accept operator, built on first read; None in matrix-free mode."""
+        if not self.dense:
+            return None
+        g = self.graph
+        d = 1 << g.n
+        rows = np.arange(d, dtype=np.int64)
+        # Column b of the real ket matrix is the accept ket for codeword b:
+        # entry (u, u xor b) is H[u, c(b)] / sqrt(d).
+        kets = np.zeros((d * d, d))
+        kets[rows[:, None] * d + (rows[:, None] ^ rows[None, :]), rows[None, :]] = (
+            hadamard(d)[:, parity_accept_indices(g)] / np.sqrt(d)
+        )
+        omega = Operator(kets @ kets.T, (d, d), hermitian=True)
+        return Strategy(omega, graph_state(g), copies=2)
 
 
 def parity_accept_indices(g: Graph) -> np.ndarray:
@@ -74,30 +97,18 @@ def omega_graph(g: Graph, matrix_free: bool | None = None) -> GraphStrategy:
     """Build the two-copy graph strategy for g.
 
     With matrix_free unset, graphs with n >= 5 skip the dense operator.
-    Requesting dense construction past the representation cap is an error.
+    Requesting dense construction past the representation cap is an error,
+    raised here even though the dense operator is only built on first read.
     """
     if matrix_free is None:
         matrix_free = g.n >= MATRIX_FREE_DEFAULT_FROM
-    layout = interleaved_permutation(g.n)
-    if matrix_free:
-        return GraphStrategy(g, None, layout)
     d = 1 << g.n
-    if d * d > DENSE_DIM_CAP:
+    if not matrix_free and d * d > DENSE_DIM_CAP:
         raise ValueError(
             f"dense two-copy operator side {d * d} exceeds cap {DENSE_DIM_CAP}; "
             "use matrix_free=True"
         )
-    had = hadamard(d, dtype=float)
-    c_idx = parity_accept_indices(g)
-    rows = np.arange(d, dtype=np.int64)
-    # Column b of the ket matrix is the accept ket for codeword b.
-    kets = np.zeros((d * d, d), dtype=complex)
-    for b in range(d):
-        kets[rows * d + (rows ^ b), b] = had[:, c_idx[b]] / np.sqrt(d)
-    omega = kets @ kets.conj().T
-    omega = (omega + omega.conj().T) / 2.0
-    strat = Strategy(Operator(omega, (d, d), hermitian=True), graph_state(g), copies=2)
-    return GraphStrategy(g, strat, layout)
+    return GraphStrategy(g, interleaved_permutation(g.n), dense=not matrix_free)
 
 
 # =====================================================================
@@ -117,7 +128,7 @@ def bell_outcome_amplitudes(g: Graph, sigma: Ket, sigma_prime: Ket) -> np.ndarra
     v = np.outer(sigma.amplitudes, sigma_prime.amplitudes)
     rows = np.arange(d, dtype=np.int64)
     gathered = v[rows[:, None], rows[None, :] ^ rows[:, None]]
-    return hadamard(d, dtype=float) @ gathered / np.sqrt(d)
+    return hadamard(d) @ gathered / np.sqrt(d)
 
 
 def apply_omega(gs: GraphStrategy, vec: np.ndarray) -> np.ndarray:
@@ -128,7 +139,7 @@ def apply_omega(gs: GraphStrategy, vec: np.ndarray) -> np.ndarray:
     rows = np.arange(d, dtype=np.int64)
     xor = rows[None, :] ^ rows[:, None]
     gathered = v[rows[:, None], xor]
-    had = hadamard(d, dtype=float)
+    had = hadamard(d)
     c_idx = parity_accept_indices(gs.graph)
     amps = (had @ gathered)[c_idx, rows] / np.sqrt(d)
     spread = (had[:, c_idx] * amps[None, :]) / np.sqrt(d)
@@ -174,36 +185,39 @@ def _gram_compressions(g: Graph, psi: np.ndarray) -> tuple[np.ndarray, ...]:
     A'[b, i] = <K_b|v_i (x) psi>. Since omega = sum_b |K_b><K_b|, the
     lambda, gamma and xi matrices are (A + A')^dag (A + A') / 2, A'^dag A and
     gamma / 2 + A^dag A, and |omega P_s (psi (x) v_i)| is the norm of column i
-    of (A + A') / 2. Returns those three matrices and the column norms.
+    of (A + A') / 2.
 
     A' = R' comp with R'[b, u] = H[c(b), u] psi[u xor b] / sqrt(d), and
-    H[c, w xor b] = H[c, w] H[c, b] turns A = R comp into A = diag(H[c(b), b]) A'.
+    H[c, w xor b] = H[c, w] H[c, b] gives A = diag(H[c(b), b]) A'. The swap
+    sign H[c(b), b] = (-1)^(b^T Gamma b) is +1 for a simple graph, so A = A'
+    and, with G = A^dag A, the three matrices are 2G, G and 3G/2. Returns
+    those three matrices and the column norms of A; raises ValueError if a
+    swap sign is -1.
     """
     d = psi.size
     rows = np.arange(d, dtype=np.int64)
-    had_c = hadamard(d, dtype=float)[parity_accept_indices(g)]
-    a_swap = (had_c * psi[rows[:, None] ^ rows[None, :]] / np.sqrt(d)) @ orthonormal_complement(psi)
-    a = had_c[rows, rows][:, None] * a_swap
-    half_sum = (a + a_swap) / 2.0
-    lam_mat = 2.0 * half_sum.conj().T @ half_sum
-    gam_mat = a_swap.conj().T @ a
-    xi_mat = gam_mat / 2.0 + a.conj().T @ a
-    return lam_mat, gam_mat, xi_mat, np.linalg.norm(half_sum, axis=0)
+    had_c = hadamard(d)[parity_accept_indices(g)]
+    if np.any(had_c[rows, rows] != 1.0):
+        raise ValueError("an accept ket is swap-antisymmetric; the graph is not simple")
+    a = (had_c * psi[rows[:, None] ^ rows[None, :]] / np.sqrt(d)) @ orthonormal_complement(psi)
+    gram = a.conj().T @ a
+    return 2.0 * gram, gram, 1.5 * gram, np.linalg.norm(a, axis=0)
 
 
 def verify_graph_optimality(gs: GraphStrategy, tol: float = 1e-9) -> GraphOptimalityReport:
     """Check the three governing scalars vanish and the operator kills P_s P_psi.
 
     Graphs with n <= 3 and a dense operator take their scalars from
-    two_copy_analysis (route "dense"). Otherwise (route "matrix_free") each
-    scalar is the top eigenvalue of the Hermitian part of its Gram matrix
-    from _gram_compressions, clamped at 0: O(d^3) work for d = 2^n, with no
-    operator application. Both routes report the largest column norm of
-    omega applied to the symmetrized (target (x) target-perp) basis, read off
-    the same Gram factors. Failures are reported, not raised.
+    two_copy_analysis (route "dense"). Otherwise (route "matrix_free") the
+    scalars are 2t, t and 3t/2, with t the top eigenvalue of the Hermitian
+    part of the Gram matrix G from _gram_compressions, clamped at 0: O(d^3)
+    work for d = 2^n, one eigensolve and no operator application. Both
+    routes report the largest column norm of omega applied to the
+    symmetrized (target (x) target-perp) basis, read off the same Gram
+    factor. Failures are reported, not raised.
     """
     g = gs.graph
-    lam_mat, gam_mat, xi_mat, resid_cols = _gram_compressions(g, graph_state(g).amplitudes)
+    _, gram, _, resid_cols = _gram_compressions(g, graph_state(g).amplitudes)
     resid = float(np.max(resid_cols))
     if g.n <= 3 and gs.strategy is not None:
         route = "dense"
@@ -211,10 +225,8 @@ def verify_graph_optimality(gs: GraphStrategy, tol: float = 1e-9) -> GraphOptima
         lam, gam, xi = ana.lambda_star, ana.gamma_star, ana.xi_star
     else:
         route = "matrix_free"
-        lam, gam, xi = (
-            max(0.0, float(np.linalg.eigvalsh((m + m.conj().T) / 2.0)[-1]))
-            for m in (lam_mat, gam_mat, xi_mat)
-        )
+        top = max(0.0, float(np.linalg.eigvalsh((gram + gram.conj().T) / 2.0)[-1]))
+        lam, gam, xi = 2.0 * top, top, 1.5 * top
 
     passed = max(lam, gam, xi, resid) <= tol
     return GraphOptimalityReport(lam, gam, xi, resid, passed, tol, route)

@@ -163,9 +163,18 @@ def disentangle_operators(g: Graph, a: GraphCode) -> tuple[Operator, Operator, O
     - B acts on the O register: CZ on every edge, then a Hadamard layer. It
       maps the graph state to |0...0>.
     - Q acts on the O register: Z_i^(a_i) on every vertex.
+
+    Only L and Q depend on the code a.
     """
     if len(a) != g.n:
         raise ValueError(f"code length {len(a)} does not match vertex count {g.n}")
+    a_op, b_op = _code_free_gates(g)
+    l_op, q_op = _code_gates(g, a)
+    return a_op, l_op, b_op, q_op
+
+
+def _code_free_gates(g: Graph) -> tuple[Operator, Operator]:
+    """Gates A and B of disentangle_operators, which do not depend on the code."""
     n = g.n
     d = 1 << n
     if d * d > DENSE_DIM_CAP:
@@ -181,6 +190,17 @@ def disentangle_operators(g: Graph, a: GraphCode) -> tuple[Operator, Operator, O
     cx[dst, src] = 1.0
     a_op = np.kron(_hadamard_layer(n), np.eye(d, dtype=complex)) @ cx
 
+    # B: Hadamard layer after the CZ layer.
+    b_op = _hadamard_layer(n) * _edge_signs(g)[None, :]
+    return Operator(a_op, (2,) * (2 * n)), Operator(b_op, (2,) * n)
+
+
+def _code_gates(g: Graph, a: GraphCode) -> tuple[Operator, Operator]:
+    """Gates L and Q of disentangle_operators for the code a."""
+    n = g.n
+    d = 1 << n
+    rows = np.arange(d, dtype=np.int64)
+
     # L: global sign times X^(c(a)).
     abits = np.array(a.bits, dtype=np.int64)
     sign = 1.0 if sum(abits[u - 1] * abits[v - 1] for u, v in g.edges) % 2 == 0 else -1.0
@@ -188,19 +208,10 @@ def disentangle_operators(g: Graph, a: GraphCode) -> tuple[Operator, Operator, O
     l_op = np.zeros((d, d), dtype=complex)
     l_op[rows ^ flip, rows] = sign
 
-    # B: Hadamard layer after the CZ layer.
-    b_op = _hadamard_layer(n) * _edge_signs(g)[None, :]
-
     # Q: diagonal Z^a.
     q_diag = np.where((_bit_table(n) @ abits) % 2 == 0, 1.0, -1.0)
     q_op = np.diag(q_diag.astype(complex))
-
-    return (
-        Operator(a_op, (2,) * (2 * n)),
-        Operator(l_op, (2,) * n, hermitian=True),
-        Operator(b_op, (2,) * n),
-        Operator(q_op, (2,) * n, hermitian=True),
-    )
+    return Operator(l_op, (2,) * n, hermitian=True), Operator(q_op, (2,) * n, hermitian=True)
 
 
 def interleaved_permutation(n: int) -> np.ndarray:
@@ -255,27 +266,29 @@ def check_disentangled_equations(g: Graph, omega: Ket, tol: float = 1e-10) -> Di
     For each a, the O'-register projection <a| A (|omega> (x) |G>) must equal
     2^(-n/2) L B |omega>, and <a| A (|G> (x) |omega>) must equal
     2^(-n/2) L Q B |omega>, up to global phase. Returns the worst deviation
-    over all 2^n codes and both identities.
+    over all 2^n codes and both identities. A, B and their products with the
+    inputs do not depend on a and are computed once; each code applies only
+    its own L and Q.
     """
     n = g.n
     d = 1 << n
     if omega.dim != d:
         raise ValueError(f"work ket dimension {omega.dim} does not match {n} qubits")
     gket = graph_state(g)
-    scale = 1.0 / np.sqrt(d)
-    forward_in = np.kron(omega.amplitudes, gket.amplitudes)
-    inverse_in = np.kron(gket.amplitudes, omega.amplitudes)
+    a_op, b_op = _code_free_gates(g)
+    # Column a of each (d, d) block is the O'-register projection onto <a|.
+    fwd_all = (a_op.entries @ np.kron(omega.amplitudes, gket.amplitudes)).reshape(d, d)
+    inv_all = (a_op.entries @ np.kron(gket.amplitudes, omega.amplitudes)).reshape(d, d)
+    b_omega = b_op.entries @ omega.amplitudes / np.sqrt(d)
     fwd_max = 0.0
     inv_max = 0.0
     for code_idx in range(d):
         a = GraphCode(format(code_idx, f"0{n}b"))
-        a_op, l_op, b_op, q_op = disentangle_operators(g, a)
-        fwd_lhs = (a_op.entries @ forward_in).reshape(d, d)[:, a.index()]
-        fwd_rhs = scale * (l_op.entries @ (b_op.entries @ omega.amplitudes))
-        fwd_max = max(fwd_max, phase_aligned_deviation(fwd_lhs, fwd_rhs))
-        inv_lhs = (a_op.entries @ inverse_in).reshape(d, d)[:, a.index()]
-        inv_rhs = scale * (l_op.entries @ (q_op.entries @ (b_op.entries @ omega.amplitudes)))
-        inv_max = max(inv_max, phase_aligned_deviation(inv_lhs, inv_rhs))
+        l_op, q_op = _code_gates(g, a)
+        fwd_rhs = l_op.entries @ b_omega
+        fwd_max = max(fwd_max, phase_aligned_deviation(fwd_all[:, code_idx], fwd_rhs))
+        inv_rhs = l_op.entries @ (q_op.entries @ b_omega)
+        inv_max = max(inv_max, phase_aligned_deviation(inv_all[:, code_idx], inv_rhs))
     worst = max(fwd_max, inv_max)
     return DisentangleReport(worst, fwd_max, inv_max, worst <= tol, tol)
 

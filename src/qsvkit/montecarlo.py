@@ -29,11 +29,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import hadamard
 
 from .graph_strategy import GraphStrategy, fidelity_from_passrate, parity_accept_indices
 from .graphs import graph_state
-from .qcore import Ket, orthonormal_complement
+from .qcore import Ket, hadamard, orthonormal_complement
 from .strategy import Strategy, two_copy_analysis
 
 _ORACLE_SEED = 20240502
@@ -136,7 +135,7 @@ def _bell_table(n: int, pair_matrix: np.ndarray, c_idx: np.ndarray) -> np.ndarra
     d = 1 << n
     rows = np.arange(d, dtype=np.int64)
     gathered = pair_matrix[rows[:, None], rows[None, :] ^ rows[:, None]]
-    amps = hadamard(d, dtype=float) @ gathered / np.sqrt(d)
+    amps = hadamard(d) @ gathered / np.sqrt(d)
     return np.abs(amps.reshape(-1)) ** 2
 
 
@@ -217,18 +216,19 @@ def fidelity_experiment(gs: GraphStrategy, ensemble: TrialConfig) -> tuple[float
 
     Needs an i.i.d. single-copy source: F_hat is the square root of the
     empirical pass rate, F_true the exact overlap of the source's mixed state
-    with the graph state.
+    with the graph state (source_fidelity).
     """
     d = 1 << gs.graph.n
     if not _source_mode(ensemble, d, 2):
         raise ValueError("fidelity estimation needs an i.i.d. single-copy source")
     _, p_emp, _ = simulate_protocol(gs, ensemble)
-    f_hat = fidelity_from_passrate(p_emp)
-    gvec = graph_state(gs.graph).amplitudes
-    f_true = sum(
-        w * float(np.abs(gvec.conj() @ k.amplitudes) ** 2) for w, k in ensemble.source
-    )
-    return f_hat, f_true
+    return fidelity_from_passrate(p_emp), source_fidelity(graph_state(gs.graph), ensemble)
+
+
+def source_fidelity(target: Ket, ensemble: TrialConfig) -> float:
+    """Overlap sum_k w_k |<target|k>|^2 of a single-copy source's mixed state."""
+    tvec = target.amplitudes
+    return sum(w * float(np.abs(tvec.conj() @ k.amplitudes) ** 2) for w, k in ensemble.source)
 
 
 # =====================================================================

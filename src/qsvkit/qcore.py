@@ -3,8 +3,8 @@
 This module supplies the building blocks used everywhere else in the package:
 kets and operators tagged with their tensor-factor dimensions, Kronecker
 products, Hermitian spectra, a matrix-free extremal eigenvalue solver, the
-two-qubit Bell basis, and the swap / symmetric-subspace / target projectors
-needed by the two-copy analysis.
++-1 Hadamard matrices, the two-qubit Bell basis, and the swap /
+symmetric-subspace / target projectors needed by the two-copy analysis.
 
 Conventions
 -----------
@@ -21,6 +21,7 @@ Conventions
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -252,6 +253,22 @@ def max_eigenvalue_matfree(
     raise RuntimeError(
         f"power iteration did not converge within {max_iters} applications (best {best:.6e})"
     )
+
+
+@functools.lru_cache(maxsize=None)
+def hadamard(d: int) -> np.ndarray:
+    """Unnormalized d x d Hadamard matrix, entry [i, j] = (-1)^popcount(i & j).
+
+    Sylvester construction for d a power of two. The result is cached per
+    size and returned read-only, so callers share one copy.
+    """
+    if d < 1 or d & (d - 1):
+        raise ValueError(f"Hadamard order must be a power of two: {d}")
+    out = np.ones((1, 1))
+    while out.shape[0] < d:
+        out = np.block([[out, out], [out, -out]])
+    out.flags.writeable = False
+    return out
 
 
 def bell_ket(z: int, x: int) -> Ket:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import pathlib
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import random_unit
-from qsvkit import cli
+from qsvkit import cli, montecarlo
 from qsvkit.cli import RunConfig, main, parse_theta_grid
 from qsvkit.qcore import Ket, Operator, orthonormal_complement
 from qsvkit.strategy import Strategy, reference_bell_artifacts, strategy_to_json
@@ -264,6 +265,22 @@ def test_simulate_graph_deterministic_with_fidelity(tmp_path, capsys):
     assert abs(first["F_hat"] - math.sqrt(first["p_emp"])) < 1e-9
 
 
+def test_simulate_graph_samples_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    original = cli.simulate_protocol
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "simulate_protocol", counting)
+    monkeypatch.setattr(montecarlo, "simulate_protocol", counting)
+    argv = ["simulate", "--graph", write_graph(tmp_path), "--epsilon", "0.01", "--trials", "2000"]
+    code, report = run_json(capsys, argv)
+    assert code == 0 and "F_hat" in report
+    assert len(calls) == 1
+
+
 def test_simulate_pure_target_always_passes(tmp_path, capsys):
     code, report = run_json(
         capsys, ["simulate", "--graph", write_graph(tmp_path), "--trials", "5000"]
@@ -297,6 +314,17 @@ def test_simulate_input_exclusivity(capsys):
 # Installed entry point
 # ---------------------------------------------------------------------
 
+def child_env() -> dict:
+    """Environment whose PYTHONPATH leads a child interpreter to this qsvkit.
+
+    A subprocess does not inherit pytest's pythonpath setting.
+    """
+    package_root = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_console_entry_point_runs(tmp_path):
     graph = tmp_path / "g.graph"
     graph.write_text(PATH2_TEXT, encoding="utf-8")
@@ -304,7 +332,17 @@ def test_console_entry_point_runs(tmp_path):
         [sys.executable, "-m", "qsvkit.cli", "analyze", "--graph", str(graph)],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert abs(report["lambda_star"]) < 1e-12
+
+
+def test_cli_import_leaves_scipy_out():
+    probe = "import sys, qsvkit.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

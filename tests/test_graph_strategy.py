@@ -7,6 +7,7 @@ import pytest
 
 from conftest import random_unit
 from graphgen import connected_graphs
+from qsvkit import graph_strategy
 from qsvkit.graph_strategy import (
     MATRIX_FREE_DEFAULT_FROM,
     _gram_compressions,
@@ -19,7 +20,7 @@ from qsvkit.graph_strategy import (
     parity_accept_indices,
     verify_graph_optimality,
 )
-from qsvkit.graphs import Graph, GraphCode, graph_state, interleaved_permutation
+from qsvkit.graphs import Graph, GraphCode, graph_state, interleaved_permutation, parity_code
 from qsvkit.qcore import Ket, orthonormal_complement
 
 
@@ -67,8 +68,47 @@ def test_omega_graph_defaults_to_matrix_free_at_threshold():
     assert omega_graph(Graph(MATRIX_FREE_DEFAULT_FROM - 1)).strategy is not None
     dense5 = omega_graph(CYCLE5, matrix_free=False)
     assert dense5.strategy is not None
-    with pytest.raises(ValueError, match="cap"):
+    with pytest.raises(ValueError, match="cap"):  # raised before any dense build
         omega_graph(Graph(7), matrix_free=False)
+
+
+def explicit_accept_ket(g: Graph, b: int) -> np.ndarray:
+    """2^(-n/2) sum_u (-1)^(c(b).u) |u>_O |u xor b>_O', assembled term by term."""
+    n, d = g.n, 1 << g.n
+    c = parity_code(g, GraphCode(format(b, f"0{n}b"))).index()
+    ket = np.zeros(d * d)
+    for u in range(d):
+        ket[u * d + (u ^ b)] = (-1.0) ** bin(c & u).count("1") / np.sqrt(d)
+    return ket
+
+
+def test_omega_graph_dense_operator_built_once_on_first_read(monkeypatch):
+    built = []
+    original = graph_strategy.Strategy
+
+    def counting(*args, **kwargs):
+        built.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(graph_strategy, "Strategy", counting)
+    for n in (1, 2, 3, 4):
+        for g in connected_graphs(n)[:3]:
+            built.clear()
+            gs = omega_graph(g, matrix_free=False)
+            assert built == [] and "strategy" not in gs.__dict__
+            first = gs.strategy
+            assert gs.strategy is first
+            assert built == [1]
+            d = 1 << n
+            expected = sum(np.outer(k, k) for k in (explicit_accept_ket(g, b) for b in range(d)))
+            assert np.max(np.abs(first.omega.entries - expected)) < 1e-12
+
+
+def test_dense_verification_past_n3_never_builds_the_operator():
+    gs = omega_graph(CYCLE5, matrix_free=False)
+    report = verify_graph_optimality(gs)
+    assert report.route == "matrix_free" and report.passed
+    assert "strategy" not in gs.__dict__
 
 
 # ---------------------------------------------------------------------
@@ -189,6 +229,14 @@ def test_gram_compressions_match_dense_off_target(rng):
             for mat, ref in zip(_gram_compressions(g, psi), expected):
                 assert mat.shape == ref.shape
                 assert np.max(np.abs(mat - ref)) < 1e-12
+
+
+def test_gram_compressions_reject_a_swap_antisymmetric_accept_ket(monkeypatch):
+    # c(1) = 1 on one vertex is the parity code of a self-loop: the accept ket
+    # for b = 1 then has swap sign (-1)^(c(1).1) = -1.
+    monkeypatch.setattr(graph_strategy, "parity_accept_indices", lambda g: np.array([0, 1]))
+    with pytest.raises(ValueError, match="swap"):
+        _gram_compressions(Graph(1), np.array([1.0, 0.0], dtype=complex))
 
 
 def test_verify_graph_optimality_routes_agree():

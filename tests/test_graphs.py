@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_unit
+from qsvkit import graphs
 from qsvkit.graphs import (
     Graph,
     GraphCode,
@@ -20,7 +21,7 @@ from qsvkit.graphs import (
     parse_graph,
     phase_aligned_deviation,
 )
-from qsvkit.qcore import HADAMARD, Ket, PAULI_X, PAULI_Z, bell_ket
+from qsvkit.qcore import HADAMARD, Ket, Operator, PAULI_X, PAULI_Z, bell_ket
 
 
 PATH2 = Graph(2, [(1, 2)])
@@ -186,6 +187,26 @@ def test_check_disentangled_equations_small_graphs(rng):
         assert report.passed
         assert report.max_deviation <= 1e-10
         assert report.max_deviation == max(report.forward_max, report.inverse_max)
+
+
+def test_check_disentangled_equations_checks_every_code(rng, monkeypatch):
+    # A wrong L (one flip bit toggled) on any single code must fail the check.
+    original = graphs._code_gates
+    for g in (PATH2, TRIANGLE):
+        d = 1 << g.n
+        omega = Ket(random_unit(rng, d), (2,) * g.n)
+        for wrong in range(d):
+
+            def gates(graph, a, wrong=wrong):
+                l_op, q_op = original(graph, a)
+                if a.index() == wrong:
+                    l_op = Operator(l_op.entries[np.arange(d) ^ 1], l_op.dims, hermitian=True)
+                return l_op, q_op
+
+            monkeypatch.setattr(graphs, "_code_gates", gates)
+            assert not check_disentangled_equations(g, omega).passed
+        monkeypatch.setattr(graphs, "_code_gates", original)
+        assert check_disentangled_equations(g, omega).passed
 
 
 def test_check_disentangled_equations_rejects_dim_mismatch(rng):

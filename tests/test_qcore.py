@@ -13,6 +13,7 @@ from qsvkit.qcore import (
     Operator,
     Spectrum,
     bell_ket,
+    hadamard,
     hermitian_spectrum,
     max_eigenvalue_matfree,
     orthonormal_complement,
@@ -190,3 +191,21 @@ def test_overlap_fidelity_ket_and_density(rng):
 
 def test_hadamard_conjugation_swaps_x_and_z():
     assert np.allclose(HADAMARD @ PAULI_X @ HADAMARD, PAULI_Z)
+
+
+def test_hadamard_matrix_entries_are_popcount_signs():
+    for n in range(9):
+        d = 1 << n
+        idx = np.arange(d)
+        popcount = np.array([[bin(i & j).count("1") for j in idx] for i in idx])
+        assert np.array_equal(hadamard(d), (-1.0) ** popcount)
+
+
+def test_hadamard_matrix_is_cached_read_only_and_validated():
+    h = hadamard(8)
+    assert hadamard(8) is h
+    assert not h.flags.writeable
+    assert np.array_equal(h @ h, 8.0 * np.eye(8))
+    for bad in (0, 3, 12):
+        with pytest.raises(ValueError, match="power of two"):
+            hadamard(bad)
