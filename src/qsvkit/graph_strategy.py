@@ -8,9 +8,11 @@ flip-bit string realizes exactly this operator.
 
 Layout: operators and kets over the doubled space use block register order
 (O register then O' register), so the accept operator for b is the rank-1
-projector onto 2^(-n/2) sum_u (-1)^(c(b).u) |u>_O |u xor b>_O'. The
-``layout`` field of GraphStrategy carries the basis permutation to the
-per-verifier pair order (see graphs.interleaved_permutation).
+projector onto 2^(-n/2) sum_u (-1)^(c(b).u) |u>_O |u xor b>_O'.
+graphs.interleaved_permutation maps this order to the per-verifier pair order
+(O1, O1', O2, O2', ...), where the operator is a sum of tensor products of
+local Bell projectors; the locality test in tests/test_graph_strategy.py
+checks that.
 
 Matrix-free path: the operator is a sum of 2^n rank-1 projectors onto
 orthonormal accept kets K_b, so its action on a vector costs one
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, GraphCode, graph_state, interleaved_permutation, parity_code
+from .graphs import Graph, GraphCode, graph_state, parity_accept_indices, parity_code
 from .qcore import (
     DENSE_DIM_CAP,
     Ket,
@@ -53,7 +55,7 @@ MATRIX_FREE_DEFAULT_FROM = 5
 
 @dataclass
 class GraphStrategy:
-    """Two-copy graph strategy with its register-layout permutation.
+    """Two-copy graph strategy for a graph.
 
     ``strategy`` holds the dense accept operator (target graph_state(graph),
     copies = 2). It is built on first read and kept, and it is None in
@@ -62,7 +64,6 @@ class GraphStrategy:
     """
 
     graph: Graph
-    layout: np.ndarray
     dense: bool
 
     @functools.cached_property
@@ -83,16 +84,6 @@ class GraphStrategy:
         return Strategy(omega, graph_state(g), copies=2)
 
 
-def parity_accept_indices(g: Graph) -> np.ndarray:
-    """For every flip-string index x, the accepted phase-string index c(x)."""
-    n = g.n
-    idx = np.arange(1 << n, dtype=np.int64)
-    shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
-    bits = (idx[:, None] >> shifts[None, :]) & 1
-    parities = (bits @ g.adjacency()) % 2
-    return parities @ (1 << shifts)
-
-
 def omega_graph(g: Graph, matrix_free: bool | None = None) -> GraphStrategy:
     """Build the two-copy graph strategy for g.
 
@@ -108,12 +99,23 @@ def omega_graph(g: Graph, matrix_free: bool | None = None) -> GraphStrategy:
             f"dense two-copy operator side {d * d} exceeds cap {DENSE_DIM_CAP}; "
             "use matrix_free=True"
         )
-    return GraphStrategy(g, interleaved_permutation(g.n), dense=not matrix_free)
+    return GraphStrategy(g, dense=not matrix_free)
 
 
 # =====================================================================
 # Matrix-free application
 # =====================================================================
+
+def _bell_transform(v: np.ndarray) -> np.ndarray:
+    """Bell-outcome amplitudes of a (d, d) doubled-space amplitude matrix.
+
+    Entry [z, x] is the overlap of v with the joint Bell ket whose phase bits
+    form z and flip bits form x: an xor gather and one Hadamard product.
+    """
+    d = v.shape[0]
+    rows = np.arange(d, dtype=np.int64)
+    return hadamard(d) @ v[rows[:, None], rows[None, :] ^ rows[:, None]] / np.sqrt(d)
+
 
 def bell_outcome_amplitudes(g: Graph, sigma: Ket, sigma_prime: Ket) -> np.ndarray:
     """Amplitudes of all pairwise Bell outcomes for a product input.
@@ -125,25 +127,17 @@ def bell_outcome_amplitudes(g: Graph, sigma: Ket, sigma_prime: Ket) -> np.ndarra
     d = 1 << g.n
     if sigma.dim != d or sigma_prime.dim != d:
         raise ValueError(f"inputs must live on {g.n} qubits each")
-    v = np.outer(sigma.amplitudes, sigma_prime.amplitudes)
-    rows = np.arange(d, dtype=np.int64)
-    gathered = v[rows[:, None], rows[None, :] ^ rows[:, None]]
-    return hadamard(d) @ gathered / np.sqrt(d)
+    return _bell_transform(np.outer(sigma.amplitudes, sigma_prime.amplitudes))
 
 
 def apply_omega(gs: GraphStrategy, vec: np.ndarray) -> np.ndarray:
     """Apply the accept operator to a doubled-space vector without densifying."""
-    n = gs.graph.n
-    d = 1 << n
-    v = np.asarray(vec, dtype=complex).reshape(d, d)
+    d = 1 << gs.graph.n
     rows = np.arange(d, dtype=np.int64)
-    xor = rows[None, :] ^ rows[:, None]
-    gathered = v[rows[:, None], xor]
-    had = hadamard(d)
     c_idx = parity_accept_indices(gs.graph)
-    amps = (had @ gathered)[c_idx, rows] / np.sqrt(d)
-    spread = (had[:, c_idx] * amps[None, :]) / np.sqrt(d)
-    return spread[rows[:, None], xor].reshape(-1)
+    amps = _bell_transform(np.asarray(vec, dtype=complex).reshape(d, d))[c_idx, rows]
+    spread = (hadamard(d)[:, c_idx] * amps[None, :]) / np.sqrt(d)
+    return spread[rows[:, None], rows[None, :] ^ rows[:, None]].reshape(-1)
 
 
 # =====================================================================

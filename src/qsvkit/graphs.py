@@ -135,16 +135,21 @@ def parity_code(g: Graph, b: GraphCode) -> GraphCode:
     return GraphCode(out.tolist())
 
 
-def graph_state(g: Graph, force_dense: bool = False) -> Ket:
+def parity_accept_indices(g: Graph) -> np.ndarray:
+    """For every flip-string index x, the accepted phase-string index c(x)."""
+    shifts = np.arange(g.n - 1, -1, -1, dtype=np.int64)
+    return ((_bit_table(g.n) @ g.adjacency()) % 2) @ (1 << shifts)
+
+
+def graph_state(g: Graph) -> Ket:
     """Graph state of g: CZ on every edge applied to the uniform |+...+> state.
 
     The amplitude of |b> is (-1)^(sum over edges of b_u b_v) / sqrt(2^n).
     """
     dim = 1 << g.n
-    if dim > DENSE_DIM_CAP and not force_dense:
+    if dim > DENSE_DIM_CAP:
         raise ValueError(
-            f"graph state on {g.n} qubits has dimension {dim} > cap {DENSE_DIM_CAP}; "
-            "set force_dense to build it anyway"
+            f"graph state on {g.n} qubits has dimension {dim} > cap {DENSE_DIM_CAP}"
         )
     amps = _edge_signs(g).astype(complex) / np.sqrt(dim)
     return Ket(amps, (2,) * g.n)

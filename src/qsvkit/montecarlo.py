@@ -30,8 +30,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph_strategy import GraphStrategy, fidelity_from_passrate, parity_accept_indices
-from .graphs import graph_state
+from .graph_strategy import GraphStrategy, fidelity_from_passrate
+from .graphs import graph_state, parity_accept_indices
 from .qcore import Ket, hadamard, orthonormal_complement
 from .strategy import Strategy, two_copy_analysis
 
@@ -130,8 +130,9 @@ def simulate_protocol(
     return passes, p_emp, stderr
 
 
-def _bell_table(n: int, pair_matrix: np.ndarray, c_idx: np.ndarray) -> np.ndarray:
+def _bell_table(n: int, pair_matrix: np.ndarray) -> np.ndarray:
     """Flattened Bell-outcome distribution for a (d, d) pair amplitude matrix."""
+    # Not shared with bell_outcome_amplitudes, so the sampler's cross-check stays independent.
     d = 1 << n
     rows = np.arange(d, dtype=np.int64)
     gathered = pair_matrix[rows[:, None], rows[None, :] ^ rows[:, None]]
@@ -164,7 +165,7 @@ def _graph_trials(gs: GraphStrategy, cfg: TrialConfig) -> np.ndarray:
             pair = np.outer(kets[key // len(kets)], kets[key % len(kets)])
         else:
             pair = kets[key].reshape(d, d)
-        probs = _bell_table(gs.graph.n, pair, c_idx)
+        probs = _bell_table(gs.graph.n, pair)
         mask = keys == key
         outcomes = _component_indices(np.cumsum(probs), uniforms[mask, 2])
         results[mask] = accepted[outcomes]
@@ -271,18 +272,14 @@ def worst_case_oracle(
     """
     if s.copies != 2:
         raise ValueError(f"oracle needs a two-copy strategy, got copies = {s.copies}")
-    d = s.target.dim
-    om = s.omega.entries
-    swapped = om.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(d * d, d * d)
-    asym = float(np.max(np.abs(om - swapped)))
-    if asym > 1e-10:
-        raise ValueError(f"operator is not swap symmetric: deviation {asym:.3e}")
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon = {epsilon} outside (0, 1)")
     ceiling = two_copy_analysis(s, epsilon=epsilon).eps_max
     if ceiling is not None and epsilon >= ceiling:
         raise ValueError(f"epsilon = {epsilon} is not below eps_max = {ceiling}")
 
+    d = s.target.dim
+    om = s.omega.entries
     psi = s.target.amplitudes
     comp = orthonormal_complement(s.target)
     width = comp.shape[1]

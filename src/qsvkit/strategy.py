@@ -83,7 +83,7 @@ class Strategy:
                 f"operator side {self.omega.dim} does not match "
                 f"target dim {self.target.dim} with {self.copies} copies"
             )
-        tvec = self.target_product()
+        tvec = _target_power(self.target, self.copies)
         dev = float(np.max(np.abs(self.omega.entries @ tvec - tvec)))
         if dev > STRUCT_TOL:
             raise ValueError(f"operator does not fix the target product state: deviation {dev:.3e}")
@@ -106,12 +106,13 @@ class Strategy:
             if mix_dev > STRUCT_TOL:
                 raise ValueError(f"decomposition does not recombine to omega: deviation {mix_dev:.3e}")
 
-    def target_product(self) -> np.ndarray:
-        """Amplitudes of target^(x copies)."""
-        vec = self.target.amplitudes
-        for _ in range(self.copies - 1):
-            vec = np.kron(vec, self.target.amplitudes)
-        return vec
+
+def _target_power(target: Ket, copies: int) -> np.ndarray:
+    """Amplitudes of target^(x copies)."""
+    vec = target.amplitudes
+    for _ in range(copies - 1):
+        vec = np.kron(vec, target.amplitudes)
+    return vec
 
 
 @dataclass
@@ -389,9 +390,7 @@ def strategy_from_channel(ch: KrausChannel, target: Ket) -> Strategy:
     """
     din = int(np.prod(ch.in_dims))
     copies = _infer_copies(target.dim, din)
-    tvec = target.amplitudes
-    for _ in range(copies - 1):
-        tvec = np.kron(tvec, target.amplitudes)
+    tvec = _target_power(target, copies)
     for idx, m in enumerate(ch.kraus_ops):
         image = m @ tvec
         residual = image.copy()

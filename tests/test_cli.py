@@ -182,6 +182,16 @@ def test_analyze_missing_and_malformed_files(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "simulate"])
+@pytest.mark.parametrize("n", [14, 30])
+def test_oversized_graph_exits_with_cap_message(tmp_path, capsys, command, n):
+    graph = write_graph(tmp_path, f"n {n}\n1 2\n")
+    assert main([command, "--graph", graph]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert "cap" in lines[0] and "Traceback" not in lines[0]
+
+
 def test_unknown_figure_flag_exits_via_argparse():
     with pytest.raises(SystemExit) as info:
         main(["curves", "--figure", "fig9"])

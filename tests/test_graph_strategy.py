@@ -21,7 +21,7 @@ from qsvkit.graph_strategy import (
     verify_graph_optimality,
 )
 from qsvkit.graphs import Graph, GraphCode, graph_state, interleaved_permutation, parity_code
-from qsvkit.qcore import Ket, orthonormal_complement
+from qsvkit.qcore import Ket, bell_ket, orthonormal_complement
 
 
 PATH2 = Graph(2, [(1, 2)])
@@ -58,9 +58,23 @@ def test_omega_graph_dense_is_rank_d_projector():
         assert np.max(np.abs(om @ tt - tt)) < 1e-12
 
 
-def test_omega_graph_layout_matches_interleaving():
-    gs = omega_graph(TRIANGLE, matrix_free=False)
-    assert np.array_equal(gs.layout, interleaved_permutation(3))
+def test_omega_graph_is_a_sum_of_local_bell_projectors():
+    # In verifier-pair order (O1, O1', O2, O2', ...) the accept operator is
+    # sum_b (x)_j |B(c_j(b), b_j)><B(c_j(b), b_j)|: each pair is measured
+    # locally in the Bell basis, phase bit c_j(b) and flip bit b_j.
+    for n in (1, 2, 3):
+        perm = interleaved_permutation(n)
+        for g in connected_graphs(n):
+            om = omega_graph(g, matrix_free=False).strategy.omega.entries
+            expected = np.zeros_like(om)
+            for b in range(1 << n):
+                code = GraphCode(format(b, f"0{n}b"))
+                term = np.ones((1, 1))
+                for z, x in zip(parity_code(g, code).bits, code.bits):
+                    bell = bell_ket(z, x).amplitudes
+                    term = np.kron(term, np.outer(bell, bell.conj()))
+                expected += term
+            assert np.max(np.abs(om[np.ix_(perm, perm)] - expected)) < 1e-12
 
 
 def test_omega_graph_defaults_to_matrix_free_at_threshold():

@@ -140,7 +140,6 @@ def test_graph_state_respects_dense_cap():
     big = Graph(14)
     with pytest.raises(ValueError, match="cap"):
         graph_state(big)
-    assert graph_state(big, force_dense=True).dim == 1 << 14
 
 
 # ---------------------------------------------------------------------
