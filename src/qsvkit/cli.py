@@ -30,8 +30,7 @@ from .montecarlo import TrialConfig, simulate_protocol, source_fidelity
 from .qcore import Ket, orthonormal_complement
 from .strategy import (
     TwoCopyAnalysis,
-    UNBOUNDED,
-    insurance_ceiling,
+    analysis_from_scalars,
     lambda2,
     single_copy_complexity,
     strategy_from_json,
@@ -63,7 +62,6 @@ class RunConfig:
     command: str
     epsilon: float | None = 1e-3
     delta: float = 1e-3
-    k: int = 1
     theta_grid: tuple[float, float, int] | None = None
     graph_path: str | None = None
     strategy_path: str | None = None
@@ -80,8 +78,6 @@ class RunConfig:
             raise ValueError(f"epsilon = {self.epsilon} outside (0, 1)")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta = {self.delta} outside (0, 1)")
-        if self.k < 1:
-            raise ValueError(f"k must be at least 1: {self.k}")
         if self.theta_grid is not None:
             start, stop, steps = self.theta_grid
             if steps < 2:
@@ -123,7 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--strategy", dest="strategy_path", metavar="FILE")
     analyze.add_argument("--epsilon", type=float, default=1e-3, metavar="R")
     analyze.add_argument("--delta", type=float, default=1e-3, metavar="R")
-    analyze.add_argument("--k", type=int, default=1, metavar="N")
     _add_output_flags(analyze, "json")
 
     curves = sub.add_parser("curves", help="figure data tables")
@@ -154,8 +149,7 @@ def config_from_args(ns: argparse.Namespace) -> RunConfig:
         "out_path": ns.out_path,
         "format": ns.format,
     }
-    for name in ("epsilon", "delta", "k", "graph_path", "strategy_path",
-                 "figure", "seed", "trials"):
+    for name in ("epsilon", "delta", "graph_path", "strategy_path", "figure", "seed", "trials"):
         if hasattr(ns, name):
             fields[name] = getattr(ns, name)
     if getattr(ns, "theta_grid", None) is not None:
@@ -242,16 +236,7 @@ def cmd_analyze(config: RunConfig) -> int:
     if config.graph_path is not None:
         g = load_graph(config.graph_path)
         opt = verify_graph_optimality(omega_graph(g))
-        eps_max, ambiguous = insurance_ceiling(opt.gamma_star, opt.xi_star, epsilon)
-        analysis = TwoCopyAnalysis(
-            opt.lambda_star,
-            opt.gamma_star,
-            opt.xi_star,
-            eps_max,
-            opt.xi_star + opt.gamma_star / 2.0 < 1.0,
-            True,
-            ambiguous,
-        )
+        analysis = analysis_from_scalars(opt.lambda_star, opt.gamma_star, opt.xi_star, epsilon)
         return _two_copy_report(analysis, epsilon, config)
 
     s = _load_strategy(config.strategy_path)
@@ -311,7 +296,7 @@ def _load_strategy(path: str):
 def cmd_curves(config: RunConfig) -> int:
     """Desk-scale tables for the two comparison figures."""
     if config.figure == "fig3":
-        free = TwoCopyAnalysis(0.0, 0.0, 0.0, UNBOUNDED, True, True, False)
+        free = analysis_from_scalars(0.0, 0.0, 0.0)
         rows = []
         for eps in np.logspace(-4.0, -1.0, 30):
             rows.append(

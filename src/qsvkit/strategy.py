@@ -306,9 +306,18 @@ def two_copy_analysis(s: Strategy, tol: float = STRUCT_TOL, epsilon: float | Non
 
     if lam >= 1.0:
         raise ValueError(f"lambda_star = {lam} >= 1; two-copy analysis does not apply")
-    local_ok = xi + gam / 2.0 < 1.0
+    return analysis_from_scalars(lam, gam, xi, epsilon, tol)
+
+
+def analysis_from_scalars(
+    lam: float, gam: float, xi: float, epsilon: float | None = None, tol: float = STRUCT_TOL
+) -> TwoCopyAnalysis:
+    """Two-copy analysis record for given scalars of a swap-symmetric strategy.
+
+    Adds the local-maximum check xi + gamma/2 < 1 and the insurance ceiling.
+    """
     eps_max, ambiguous = insurance_ceiling(gam, xi, epsilon, tol)
-    return TwoCopyAnalysis(lam, gam, xi, eps_max, local_ok, True, ambiguous)
+    return TwoCopyAnalysis(lam, gam, xi, eps_max, xi + gam / 2.0 < 1.0, True, ambiguous)
 
 
 def _top_of_restricted(name: str, mat: np.ndarray, tol: float) -> float:

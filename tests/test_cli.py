@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pathlib
+import resource
 import subprocess
 import sys
 
@@ -52,8 +53,6 @@ def test_run_config_validation():
         RunConfig("analyze", epsilon=1.0)
     with pytest.raises(ValueError, match="delta"):
         RunConfig("analyze", delta=0.0)
-    with pytest.raises(ValueError, match="k must"):
-        RunConfig("analyze", k=0)
     with pytest.raises(ValueError, match="at least 2 steps"):
         RunConfig("curves", theta_grid=(0.1, 0.2, 1))
     with pytest.raises(ValueError, match="outside the open"):
@@ -149,11 +148,6 @@ def test_analyze_csv_report_format(tmp_path, capsys):
     assert lines[0] == "key,value"
     assert "eps_max,inf" in lines
     assert out.endswith("\n")
-
-
-def test_analyze_accepts_k_flag(tmp_path, capsys):
-    code, _ = run_json(capsys, ["analyze", "--graph", write_graph(tmp_path), "--k", "3"])
-    assert code == 0
 
 
 def test_analyze_input_exclusivity(tmp_path, capsys):
@@ -356,3 +350,22 @@ def test_cli_import_leaves_scipy_out():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_analyze_graph_at_the_cap_fits_in_3gb(tmp_path):
+    # n = 13 is the largest graph the dense-dimension cap admits.
+    ring = "n 13\n" + "".join(f"{i} {i % 13 + 1}\n" for i in range(1, 14))
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (3_000_000 * 1024,) * 2)
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "qsvkit.cli", "analyze", "--graph", write_graph(tmp_path, ring)],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        preexec_fn=limit_address_space,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert max(report["lambda_star"], report["gamma_star"], report["xi_star"]) <= 1e-9

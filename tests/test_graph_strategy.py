@@ -10,7 +10,7 @@ from graphgen import connected_graphs
 from qsvkit import graph_strategy
 from qsvkit.graph_strategy import (
     MATRIX_FREE_DEFAULT_FROM,
-    _gram_compressions,
+    _frobenius_certificate,
     apply_omega,
     bell_outcome_amplitudes,
     decide_parity_pass,
@@ -222,9 +222,9 @@ def test_verify_graph_optimality_matrix_free_route():
     assert report5.passed
 
 
-def test_gram_compressions_match_dense_off_target(rng):
-    # Graph states make every scalar vanish, so compare the full matrices on
-    # random states, where a wrong sign or factor in a Gram formula shows.
+def test_frobenius_certificate_bounds_dense_compressions_off_target(rng):
+    # Graph states make every scalar vanish, so check the bound on random
+    # states, where the compressions are far from zero.
     for n in (1, 2, 3):
         for g in connected_graphs(n):
             d = 1 << n
@@ -233,24 +233,49 @@ def test_gram_compressions_match_dense_off_target(rng):
             w = np.kron(psi[:, None], orthonormal_complement(psi))
             sym = (w + swap_columns(w, d)) / 2.0
             gam = w.conj().T @ swap_columns(omega @ w, d)
-            expected = (
-                2.0 * sym.conj().T @ omega @ sym,
-                gam,
-                gam / 2.0 + w.conj().T @ omega @ w,
-                np.linalg.norm(omega @ sym, axis=0),
-            )
-            assert min(np.max(np.abs(ref)) for ref in expected) > 1e-3
-            for mat, ref in zip(_gram_compressions(g, psi), expected):
-                assert mat.shape == ref.shape
-                assert np.max(np.abs(mat - ref)) < 1e-12
+            lam = 2.0 * sym.conj().T @ omega @ sym
+            xi = gam / 2.0 + w.conj().T @ omega @ w
+            resid = np.linalg.norm(omega @ sym, axis=0)
+            frob = _frobenius_certificate(g, psi)
+            assert abs(frob**2 - np.trace(gam).real) < 1e-12
+            assert frob**2 > 1e-3
+            for mat, bound in ((lam, 2.0 * frob**2), (gam, frob**2), (xi, 1.5 * frob**2)):
+                top = np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)[-1]
+                assert top <= bound + 1e-12
+            assert np.max(resid) <= frob + 1e-12
 
 
-def test_gram_compressions_reject_a_swap_antisymmetric_accept_ket(monkeypatch):
+def test_frobenius_certificate_does_not_depend_on_the_block_height(monkeypatch, rng):
+    # Small graphs fit one block; shrink the blocks to 1, 3 and 6 rows of 16,
+    # the last one ragged, so every block boundary is crossed.
+    psi = random_unit(rng, 16)
+    one_block = _frobenius_certificate(STAR4, psi)
+    for entries in (16, 48, 100):
+        monkeypatch.setattr(graph_strategy, "_BLOCK_ENTRIES", entries)
+        assert abs(_frobenius_certificate(STAR4, psi) - one_block) < 1e-12
+
+
+def test_graph_state_rows_of_r_prime_are_psi_b_psi():
+    # The paper's identity: R'[b, u] = (-1)^(c(b).u) psi[u xor b] / sqrt(d)
+    # equals psi[b] psi[u] for a graph state, so R' (I - psi psi^dag) = 0.
+    for n in (1, 2, 3, 4):
+        d = 1 << n
+        for g in connected_graphs(n):
+            psi = graph_state(g).amplitudes
+            for b in range(d):
+                c = parity_code(g, GraphCode(format(b, f"0{n}b"))).index()
+                row = np.array(
+                    [(-1.0) ** bin(c & u).count("1") * psi[u ^ b] for u in range(d)]
+                ) / np.sqrt(d)
+                assert np.max(np.abs(row - psi[b] * psi)) < 1e-12
+
+
+def test_frobenius_certificate_rejects_a_swap_antisymmetric_accept_ket(monkeypatch):
     # c(1) = 1 on one vertex is the parity code of a self-loop: the accept ket
     # for b = 1 then has swap sign (-1)^(c(1).1) = -1.
     monkeypatch.setattr(graph_strategy, "parity_accept_indices", lambda g: np.array([0, 1]))
     with pytest.raises(ValueError, match="swap"):
-        _gram_compressions(Graph(1), np.array([1.0, 0.0], dtype=complex))
+        _frobenius_certificate(Graph(1), np.array([1.0, 0.0], dtype=complex))
 
 
 def test_verify_graph_optimality_routes_agree():
@@ -265,10 +290,11 @@ def test_verify_graph_optimality_routes_agree():
             assert dense.annihilation_residual == free.annihilation_residual
 
 
-def test_verify_graph_optimality_ring9_within_budget():
-    ring9 = Graph(9, [(i, i % 9 + 1) for i in range(1, 10)])
+@pytest.mark.parametrize("n", [9, 12])
+def test_verify_graph_optimality_ring_within_budget(n):
+    ring = Graph(n, [(i, i % n + 1) for i in range(1, n + 1)])
     started = time.monotonic()
-    report = verify_graph_optimality(omega_graph(ring9))
+    report = verify_graph_optimality(omega_graph(ring))
     assert time.monotonic() - started < 10.0
     assert report.route == "matrix_free"
     assert report.passed
