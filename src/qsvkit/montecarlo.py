@@ -1,11 +1,16 @@
 """Protocol-level Monte Carlo simulation and an independent worst-case oracle.
 
-Every trial consumes one fixed row of a (trials, 4) uniform table drawn once
-from a counter-based generator keyed by the config seed. The columns are
-(first component draw, second component draw, test-or-outcome draw, accept
-threshold); a trial's result is a pure function of its own row and the
-precomputed per-component tables, so aggregation order cannot change the
-pass count and chunked execution reproduces serial runs bit for bit.
+Every trial consumes one fixed row of four uniforms from a counter-based
+generator keyed by the config seed: (first component draw, second component
+draw, test-or-outcome draw, accept threshold). The rows are streamed in
+blocks of at most _CHUNK_TRIALS and each block is reduced straight to a pass
+count, so memory does not grow with the trial count. A trial's result is a
+pure function of its own row and the per-component tables, so the block size
+and aggregation order cannot change the pass count. A graph trial draws its
+joint Bell outcome by inverse CDF and accepts on the parity decision; since
+that decision changes only where acceptance flips between neighbouring
+outcomes, each component key keeps just those CDF values and the trial reads
+the parity of the flips at or below its draw.
 
 Source descriptors are a single ket or a weighted list of kets. Components
 living on a single copy of the target space are drawn independently for each
@@ -26,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -36,6 +41,9 @@ from .qcore import Ket, hadamard, orthonormal_complement
 from .strategy import Strategy, two_copy_analysis
 
 _ORACLE_SEED = 20240502
+
+# Trials per block of streamed uniforms (32 B each).
+_CHUNK_TRIALS = 1 << 16
 
 # =====================================================================
 # Trial configuration
@@ -77,13 +85,23 @@ class TrialConfig:
             raise ValueError(f"component weights sum to {total}, not 1")
 
 
-def _uniform_table(cfg: TrialConfig) -> np.ndarray:
+def _uniform_chunks(cfg: TrialConfig) -> Iterator[np.ndarray]:
+    """The (trials, 4) uniform stream in row blocks; together they equal one draw."""
     gen = np.random.Generator(np.random.Philox(key=cfg.seed))
-    return gen.random((cfg.trials, 4))
+    for start in range(0, cfg.trials, _CHUNK_TRIALS):
+        yield gen.random((min(_CHUNK_TRIALS, cfg.trials - start), 4))
 
 
 def _component_indices(cum: np.ndarray, draws: np.ndarray) -> np.ndarray:
     return np.minimum(np.searchsorted(cum, draws, side="right"), cum.size - 1)
+
+
+def _source_keys(cum: np.ndarray, chunk: np.ndarray, pairs: bool) -> np.ndarray:
+    """Per-row component index, or first * components + second for i.i.d. pairs."""
+    keys = _component_indices(cum, chunk[:, 0])
+    if pairs:
+        keys = keys * cum.size + _component_indices(cum, chunk[:, 1])
+    return keys
 
 
 def _source_mode(cfg: TrialConfig, single_dim: int, copies: int) -> bool:
@@ -115,16 +133,15 @@ def simulate_protocol(
     drawn and accepted against its exact conditional pass probability.
     """
     if isinstance(s, GraphStrategy):
-        results = _graph_trials(s, cfg)
+        passes = _graph_passes(s, cfg)
     elif isinstance(s, Strategy):
         if s.decomposition is None:
             raise ValueError(
                 "strategy carries no decomposition and no protocol form; nothing to sample"
             )
-        results = _decomposition_trials(s, cfg)
+        passes = _decomposition_passes(s, cfg)
     else:
         raise ValueError(f"cannot simulate a {type(s).__name__}")
-    passes = int(np.sum(results))
     p_emp = passes / cfg.trials
     stderr = math.sqrt(p_emp * (1.0 - p_emp) / cfg.trials)
     return passes, p_emp, stderr
@@ -140,67 +157,64 @@ def _bell_table(n: int, pair_matrix: np.ndarray) -> np.ndarray:
     return np.abs(amps.reshape(-1)) ** 2
 
 
-def _graph_trials(gs: GraphStrategy, cfg: TrialConfig) -> np.ndarray:
+def _acceptance_flips(probs: np.ndarray, accepted: np.ndarray) -> tuple[bool, np.ndarray]:
+    """First outcome's acceptance and the CDF values where acceptance flips.
+
+    The drawn outcome is min(#{cum <= u}, m - 1) for the m-entry cum =
+    cumsum(probs), so its acceptance is accepted[0] xor the parity of the
+    flips i (accepted[i] != accepted[i + 1]) with cum[i] <= u. Flips at equal
+    values cancel in pairs; only values repeated an odd number of times are
+    kept.
+    """
+    cum = np.cumsum(probs)
+    values, counts = np.unique(cum[:-1][accepted[:-1] != accepted[1:]], return_counts=True)
+    return bool(accepted[0]), values[counts % 2 == 1]
+
+
+def _graph_passes(gs: GraphStrategy, cfg: TrialConfig) -> int:
     d = 1 << gs.graph.n
     iid = _source_mode(cfg, d, 2)
-    weights = np.array([w for w, _ in cfg.source])
     kets = [k.amplitudes for _, k in cfg.source]
-    cum = np.cumsum(weights)
-    uniforms = _uniform_table(cfg)
+    cum = np.cumsum([w for w, _ in cfg.source])
 
-    c_idx = parity_accept_indices(gs.graph)
     accepted = np.zeros(d * d, dtype=bool)
-    accepted[c_idx * d + np.arange(d)] = True
+    accepted[parity_accept_indices(gs.graph) * d + np.arange(d)] = True
 
-    if iid:
-        first = _component_indices(cum, uniforms[:, 0])
-        second = _component_indices(cum, uniforms[:, 1])
-        keys = first * len(kets) + second
-    else:
-        keys = _component_indices(cum, uniforms[:, 0])
-
-    results = np.zeros(cfg.trials, dtype=bool)
-    for key in np.unique(keys):
-        if iid:
-            pair = np.outer(kets[key // len(kets)], kets[key % len(kets)])
-        else:
-            pair = kets[key].reshape(d, d)
-        probs = _bell_table(gs.graph.n, pair)
-        mask = keys == key
-        outcomes = _component_indices(np.cumsum(probs), uniforms[mask, 2])
-        results[mask] = accepted[outcomes]
-    return results
+    flips: dict[int, tuple[bool, np.ndarray]] = {}
+    passes = 0
+    for chunk in _uniform_chunks(cfg):
+        keys = _source_keys(cum, chunk, iid)
+        for key in np.flatnonzero(np.bincount(keys)):
+            if key not in flips:
+                if iid:
+                    pair = np.outer(kets[key // len(kets)], kets[key % len(kets)])
+                else:
+                    pair = kets[key].reshape(d, d)
+                flips[key] = _acceptance_flips(_bell_table(gs.graph.n, pair), accepted)
+            first, values = flips[key]
+            draws = chunk[keys == key, 2]
+            odd = int(np.count_nonzero(np.searchsorted(values, draws, side="right") & 1))
+            passes += draws.size - odd if first else odd
+    return passes
 
 
-def _decomposition_trials(s: Strategy, cfg: TrialConfig) -> np.ndarray:
+def _decomposition_passes(s: Strategy, cfg: TrialConfig) -> int:
     iid = _source_mode(cfg, s.target.dim, s.copies)
     if iid and s.copies > 2:
         raise ValueError(
             f"i.i.d. sampling supports at most two copies, got {s.copies}; "
             "provide composite components"
         )
-    weights = np.array([w for w, _ in cfg.source])
     kets = [k.amplitudes for _, k in cfg.source]
-    cum = np.cumsum(weights)
-    uniforms = _uniform_table(cfg)
+    cum = np.cumsum([w for w, _ in cfg.source])
 
     probs = np.array([p for p, _ in s.decomposition])
     tests = [t.entries for _, t in s.decomposition]
     cum_tests = np.cumsum(probs)
     cum_tests[-1] = max(cum_tests[-1], 1.0)
 
-    if iid and s.copies == 2:
-        first = _component_indices(cum, uniforms[:, 0])
-        second = _component_indices(cum, uniforms[:, 1])
-        keys = first * len(kets) + second
-        states = [
-            np.kron(kets[a], kets[b])
-            for a in range(len(kets))
-            for b in range(len(kets))
-        ]
-    else:
-        keys = _component_indices(cum, uniforms[:, 0])
-        states = kets
+    pairs = iid and s.copies == 2
+    states = [np.kron(a, b) for a in kets for b in kets] if pairs else kets
 
     table = np.empty((len(states), len(tests)))
     for i, state in enumerate(states):
@@ -208,8 +222,12 @@ def _decomposition_trials(s: Strategy, cfg: TrialConfig) -> np.ndarray:
             val = float(np.real(state.conj() @ (test @ state)))
             table[i, l] = min(max(val, 0.0), 1.0)
 
-    drawn = _component_indices(cum_tests, uniforms[:, 2])
-    return uniforms[:, 3] < table[keys, drawn]
+    passes = 0
+    for chunk in _uniform_chunks(cfg):
+        keys = _source_keys(cum, chunk, pairs)
+        drawn = _component_indices(cum_tests, chunk[:, 2])
+        passes += int(np.count_nonzero(chunk[:, 3] < table[keys, drawn]))
+    return passes
 
 
 def fidelity_experiment(gs: GraphStrategy, ensemble: TrialConfig) -> tuple[float, float]:

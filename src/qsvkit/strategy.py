@@ -505,6 +505,7 @@ def strategy_from_json(data: dict) -> Strategy:
     Expected keys: dims (single-copy subsystem dims), copies, target and
     omega as [re, im] pair lists (omega row-major over the full multi-copy
     space), and optionally decomposition as a list of {p, T} entries.
+    Omega's spectrum must lie in [0, 1] within STRUCT_TOL.
     """
     dims = tuple(int(d) for d in data["dims"])
     copies = int(data["copies"])
@@ -515,6 +516,9 @@ def strategy_from_json(data: dict) -> Strategy:
         raise ValueError(f"omega has {omega_vec.size} entries, expected {side * side}")
     op_dims = dims if copies == 1 else (target.dim,) * copies
     omega = Operator(omega_vec.reshape(side, side), op_dims, hermitian=True)
+    for value in np.linalg.eigvalsh(omega.entries)[[0, -1]]:
+        if not -STRUCT_TOL <= value <= 1.0 + STRUCT_TOL:
+            raise ValueError(f"omega has eigenvalue {value:.6g} outside [0, 1]")
     decomposition = None
     if data.get("decomposition") is not None:
         decomposition = []

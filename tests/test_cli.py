@@ -11,10 +11,9 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import random_unit
 from qsvkit import cli, montecarlo
 from qsvkit.cli import RunConfig, main, parse_theta_grid
-from qsvkit.qcore import Ket, Operator, orthonormal_complement
+from qsvkit.qcore import Ket, Operator
 from qsvkit.strategy import Strategy, reference_bell_artifacts, strategy_to_json
 
 
@@ -112,19 +111,30 @@ def test_analyze_two_copy_product_strategy(tmp_path, capsys):
     assert report["exact_N"] > 0
 
 
-def test_analyze_hypothesis_failure_from_analysis(tmp_path, capsys, rng):
-    # lambda_star lands above 1, so the compression itself refuses.
-    target = Ket(random_unit(rng, 2), (2,))
-    tt = np.kron(target.amplitudes, target.amplitudes)
-    v = orthonormal_complement(target)[:, 0]
-    sym_dir = (np.kron(target.amplitudes, v) + np.kron(v, target.amplitudes)) / 2.0
-    omega = np.outer(tt, tt.conj()) + 2.5 * np.outer(sym_dir, sym_dir.conj()) / (
-        np.linalg.norm(sym_dir) ** 2
-    )
-    s = Strategy(Operator((omega + omega.conj().T) / 2.0, (2, 2), hermitian=True), target, copies=2)
+def test_analyze_hypothesis_failure_from_analysis(tmp_path, capsys):
+    # The symmetric-subspace projector (I + F)/2 passes every symmetric fake,
+    # so lambda_star is exactly 1 and the compression itself refuses.
+    target = Ket(np.array([1.0, 0.0]), (2,))
+    swap = np.eye(4)[[0, 2, 1, 3]]
+    s = Strategy(Operator((np.eye(4) + swap) / 2.0, (2, 2), hermitian=True), target, copies=2)
     code, report = run_json(capsys, ["analyze", "--strategy", write_strategy(tmp_path, s)])
     assert code == 3
     assert "lambda_star" in report["hypothesis_failure"]
+
+
+@pytest.mark.parametrize("shift", [-0.6, 0.9])
+def test_analyze_rejects_omega_outside_zero_and_identity(tmp_path, capsys, shift):
+    # Shifting a 1/3 eigenvector of the reference operator leaves the spectrum
+    # at 1/3 - 0.6 < 0 or 1/3 + 0.9 > 1 while the target stays fixed.
+    strat, _ = reference_bell_artifacts()
+    vals, vecs = np.linalg.eigh(strat.omega.entries)
+    phi = vecs[:, np.argmin(np.abs(vals - 1.0 / 3.0))]
+    omega = strat.omega.entries + shift * np.outer(phi, phi.conj())
+    bad = Strategy(Operator(omega, strat.omega.dims, hermitian=True), strat.target)
+    assert main(["analyze", "--strategy", write_strategy(tmp_path, bad)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert "eigenvalue" in lines[0] and "Traceback" not in lines[0]
 
 
 def test_analyze_hypothesis_failure_keeps_report(tmp_path, capsys):

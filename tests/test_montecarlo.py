@@ -1,11 +1,14 @@
 """Monte Carlo protocol sampling and the independent worst-case search."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import random_unit
+from qsvkit import montecarlo
+from qsvkit.ghz import mub_strategy_d4
 from qsvkit.graph_strategy import graph_pass_probability, omega_graph
 from qsvkit.graphs import Graph, graph_state
 from qsvkit.montecarlo import (
@@ -30,6 +33,17 @@ def graph_mix(g: Graph, weight: float) -> list[tuple[float, Ket]]:
 
 def three_sigma(p: float, trials: int) -> float:
     return 3.0 * math.sqrt(p * (1.0 - p) / trials) + 1e-12
+
+
+def bell_product_strategy() -> Strategy:
+    strat, _ = reference_bell_artifacts()
+    prod = np.kron(strat.omega.entries, strat.omega.entries)
+    decomposition = [
+        (pa * pb, Operator(np.kron(ta.entries, tb.entries), (4, 4), hermitian=True))
+        for pa, ta in strat.decomposition
+        for pb, tb in strat.decomposition
+    ]
+    return Strategy(Operator(prod, (4, 4), hermitian=True), strat.target, 2, decomposition)
 
 
 # ---------------------------------------------------------------------
@@ -125,13 +139,7 @@ def test_single_copy_decomposition_tracks_exact_rate():
 
 def test_two_copy_decomposition_iid_product():
     strat, _ = reference_bell_artifacts()
-    prod = np.kron(strat.omega.entries, strat.omega.entries)
-    decomposition = [
-        (pa * pb, Operator(np.kron(ta.entries, tb.entries), (4, 4), hermitian=True))
-        for pa, ta in strat.decomposition
-        for pb, tb in strat.decomposition
-    ]
-    s2 = Strategy(Operator(prod, (4, 4), hermitian=True), strat.target, 2, decomposition)
+    s2 = bell_product_strategy()
     mix = [(0.9, bell_ket(0, 0)), (0.1, bell_ket(0, 1))]
     om = strat.omega.entries
     single = sum(w * float(np.real(k.amplitudes.conj() @ om @ k.amplitudes)) for w, k in mix)
@@ -153,6 +161,165 @@ def test_decomposition_guards(rng):
     s3 = Strategy(omega3, target, 3, [(1.0, omega3)])
     with pytest.raises(ValueError, match="at most two copies"):
         simulate_protocol(s3, TrialConfig(10, 1, target))
+
+
+# ---------------------------------------------------------------------
+# Pinned pass counts, chunk-size invariance and bounded memory
+# ---------------------------------------------------------------------
+
+def ring(n: int) -> Graph:
+    if n == 1:
+        return Graph(1)
+    if n == 2:
+        return PATH2
+    return Graph(n, [(i, i + 1) for i in range(1, n)] + [(1, n)])
+
+
+def closed_form_ket(dim: int, phase: float) -> np.ndarray:
+    """A fixed dense unit vector, free of any random generator."""
+    k = np.arange(dim)
+    vec = np.cos(phase * (k + 1)) + 1.0j * np.sin(0.7 * phase * k + 0.3)
+    return vec / np.linalg.norm(vec)
+
+
+def iid_graph_source(n: int) -> list[tuple[float, Ket]]:
+    """One to three single-copy components: the target, a near-target, a spread ket."""
+    target = graph_state(ring(n))
+    d = target.dim
+    near = np.sqrt(0.9) * target.amplitudes + np.sqrt(0.1) * closed_form_ket(d, 0.41 + n)
+    near /= np.linalg.norm(near)
+    comps = [Ket(near, target.dims), Ket(closed_form_ket(d, 1.7 * n), target.dims)]
+    count = 1 if n == 2 else 2 + n % 2
+    weights = {1: [1.0], 2: [0.8, 0.2], 3: [0.7, 0.2, 0.1]}[count]
+    return list(zip(weights, [target] + comps[: count - 1]))
+
+
+def composite_ring4_source() -> list[tuple[float, Ket]]:
+    target = graph_state(ring(4)).amplitudes
+    dims = (16, 16)
+    return [
+        (0.6, Ket(np.kron(target, target), dims)),
+        (0.25, Ket(closed_form_ket(256, 0.53), dims)),
+        (0.15, Ket(np.kron(target, closed_form_ket(16, 2.2)), dims)),
+    ]
+
+
+BELL_MIX = [(0.75, bell_ket(0, 0)), (0.15, bell_ket(1, 1)), (0.1, Ket(closed_form_ket(4, 0.9), (2, 2)))]
+
+# (n, trials, seed) per i.i.d. ring case; trial counts sit on both sides of 65,536.
+RING_CASES = {
+    f"ring{n}-{trials}": (n, trials, seed)
+    for n, trials, seed in [
+        (1, 1, 101), (1, 65537, 102),
+        (2, 3, 201), (2, 65536, 202),
+        (3, 65535, 301), (3, 70001, 302),
+        (4, 1000, 401), (4, 200003, 402),
+        (5, 65535, 501), (5, 65537, 502),
+        (6, 2, 601), (6, 131072, 602),
+        (7, 4099, 701), (7, 65537, 702),
+        (8, 65535, 801), (8, 131075, 802),
+    ]
+}
+
+
+def pinned_run(name: str) -> tuple[int, float, float]:
+    if name in RING_CASES:
+        n, trials, seed = RING_CASES[name]
+        return simulate_protocol(omega_graph(ring(n)), TrialConfig(trials, seed, iid_graph_source(n)))
+    if name == "ring4-composite":
+        return simulate_protocol(omega_graph(ring(4)), TrialConfig(100003, 41, composite_ring4_source()))
+    if name == "bell":
+        strat, _ = reference_bell_artifacts()
+        return simulate_protocol(strat, TrialConfig(70001, 51, BELL_MIX))
+    if name == "bell-product":
+        return simulate_protocol(bell_product_strategy(), TrialConfig(65537, 52, BELL_MIX))
+    if name == "bell-product-composite":
+        a, b = bell_ket(0, 0).amplitudes, bell_ket(0, 1).amplitudes
+        comps = [
+            (0.5, Ket(np.kron(a, a), (4, 4))),
+            (0.3, Ket(closed_form_ket(16, 0.77), (4, 4))),
+            (0.2, Ket(np.kron(a, b), (4, 4))),
+        ]
+        return simulate_protocol(bell_product_strategy(), TrialConfig(131071, 53, comps))
+    if name == "mub-d4":
+        s = mub_strategy_d4(0.3)
+        mix = [(0.85, s.target), (0.15, Ket(closed_form_ket(16, 1.1), s.target.dims))]
+        return simulate_protocol(s, TrialConfig(65539, 54, mix))
+    raise KeyError(name)
+
+
+# Pass counts of the one-shot (trials, 4) table sampler that preceded the
+# streamed one, recorded before it was replaced.
+PINNED_PASSES = {
+    "ring1-1": 1,
+    "ring1-65537": 60441,
+    "ring2-3": 3,
+    "ring2-65536": 65536,
+    "ring3-65535": 52127,
+    "ring3-70001": 55789,
+    "ring4-1000": 962,
+    "ring4-200003": 192056,
+    "ring5-65535": 51205,
+    "ring5-65537": 51130,
+    "ring6-131072": 126073,
+    "ring6-2": 2,
+    "ring7-4099": 3180,
+    "ring7-65537": 50766,
+    "ring8-131075": 125978,
+    "ring8-65535": 62951,
+    "ring4-composite": 63234,
+    "bell": 58930,
+    "bell-product": 46494,
+    "bell-product-composite": 84010,
+    "mub-d4": 58106,
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_PASSES))
+def test_pass_counts_match_the_pinned_counts(name):
+    assert pinned_run(name)[0] == PINNED_PASSES[name]
+
+
+def chunk_invariance_runs() -> list[int]:
+    g3 = Graph(3, [(1, 2), (2, 3)])
+    target3 = graph_state(g3)
+    iid3 = [
+        (0.6, target3),
+        (0.3, Ket(closed_form_ket(8, 0.63), target3.dims)),
+        (0.1, Ket(closed_form_ket(8, 2.9), target3.dims)),
+    ]
+    gs4 = omega_graph(ring(4))
+    return [
+        simulate_protocol(omega_graph(g3), TrialConfig(5000, 61, iid3))[0],
+        simulate_protocol(gs4, TrialConfig(4999, 62, composite_ring4_source()))[0],
+        simulate_protocol(bell_product_strategy(), TrialConfig(5000, 63, BELL_MIX))[0],
+    ]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 100_000])
+def test_pass_counts_do_not_depend_on_the_chunk_size(monkeypatch, chunk):
+    default = chunk_invariance_runs()
+    monkeypatch.setattr(montecarlo, "_CHUNK_TRIALS", chunk)
+    assert chunk_invariance_runs() == default
+
+
+def traced_peak_mib(run) -> float:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_sampling_memory_does_not_grow_with_the_trial_count():
+    trials = 2_000_000
+    gs = omega_graph(ring(4))
+    graph_cfg = TrialConfig(trials, 71, graph_mix(ring(4), 0.9))
+    strat, _ = reference_bell_artifacts()
+    bell_cfg = TrialConfig(trials, 72, [(0.9, bell_ket(0, 0)), (0.1, bell_ket(1, 1))])
+    assert traced_peak_mib(lambda: simulate_protocol(gs, graph_cfg)) < 16.0
+    assert traced_peak_mib(lambda: simulate_protocol(strat, bell_cfg)) < 16.0
 
 
 # ---------------------------------------------------------------------
