@@ -289,7 +289,7 @@ def _load_strategy(path: str):
         raise ValueError(f"strategy file {path}: {exc}") from None
     try:
         return strategy_from_json(data)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"strategy file {path}: missing or malformed field ({exc})") from None
 
 

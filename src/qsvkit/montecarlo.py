@@ -1,16 +1,26 @@
 """Protocol-level Monte Carlo simulation and an independent worst-case oracle.
 
-Every trial consumes one fixed row of four uniforms from a counter-based
-generator keyed by the config seed: (first component draw, second component
-draw, test-or-outcome draw, accept threshold). The rows are streamed in
-blocks of at most _CHUNK_TRIALS and each block is reduced straight to a pass
-count, so memory does not grow with the trial count. A trial's result is a
-pure function of its own row and the per-component tables, so the block size
-and aggregation order cannot change the pass count. A graph trial draws its
-joint Bell outcome by inverse CDF and accepts on the parity decision; since
-that decision changes only where acceptance flips between neighbouring
-outcomes, each component key keeps just those CDF values and the trial reads
-the parity of the flips at or below its draw.
+Every trial consumes one fixed row of four raw 64-bit words from a
+counter-based Philox stream keyed by the config seed: (first component draw,
+second component draw, test-or-outcome draw, accept threshold). The rows are
+streamed in blocks of at most _CHUNK_TRIALS and each block is reduced straight
+to a pass count, so memory does not grow with the trial count. A trial's
+result is a pure function of its own row and the per-component tables, so the
+block size and aggregation order cannot change the pass count.
+
+A word w stands for the uniform u = (w >> 11) * 2^-53 that Generator.random
+makes of it, but u is never formed. With m = w >> 11, cdf <= u holds exactly
+when ceil(cdf * 2^53) <= m, and u < p exactly when m < ceil(p * 2^53), so
+every decision is an exact integer comparison with the outcome it has on u.
+The three inverse-CDF lookups -- the source component, the decomposition test
+and the graph decision -- each count the thresholds at or below m with one
+gather from a table over the top 16 bits of w; only rows whose bucket holds a
+threshold fall back to a binary search. A graph trial draws its joint Bell
+outcome by inverse CDF and accepts on the parity decision; since that
+decision changes only where acceptance flips between neighbouring outcomes,
+each component key keeps just those CDF values, and the trial reads the
+parity of the flips at or below its draw from a per-bucket pass, fail or
+resolve-exactly code.
 
 Source descriptors are a single ket or a weighted list of kets. Components
 living on a single copy of the target space are drawn independently for each
@@ -31,19 +41,31 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .graph_strategy import GraphStrategy, fidelity_from_passrate
 from .graphs import graph_state, parity_accept_indices
-from .qcore import Ket, hadamard, orthonormal_complement
+from .qcore import Ket, orthonormal_complement
 from .strategy import Strategy, two_copy_analysis
 
 _ORACLE_SEED = 20240502
 
-# Trials per block of streamed uniforms (32 B each).
+# Trials per block of streamed words (32 B each).
 _CHUNK_TRIALS = 1 << 16
+
+# Lookup buckets are the top 16 bits of a word w; each spans 2^37 values of w >> 11.
+_MANTISSA_SHIFT = 11
+_BUCKET_SHIFT = 48
+_SPAN_SHIFT = _BUCKET_SHIFT - _MANTISSA_SHIFT
+_BUCKETS = 1 << 16
+
+# Per-bucket graph decision codes; 0 is fail.
+_PASS, _RESOLVE = 1, 2
+
+# Complex entries per column block of the Bell-table transform.
+_TABLE_BLOCK_ENTRIES = 1 << 20
 
 # =====================================================================
 # Trial configuration
@@ -74,6 +96,8 @@ class TrialConfig:
         total = 0.0
         dim = self.source[0][1].dim
         for idx, (weight, ket) in enumerate(self.source):
+            if not math.isfinite(weight):
+                raise ValueError(f"component {idx} has non-finite weight {weight}")
             if weight < 0.0:
                 raise ValueError(f"component {idx} has negative weight {weight}")
             if ket.dim != dim:
@@ -85,23 +109,50 @@ class TrialConfig:
             raise ValueError(f"component weights sum to {total}, not 1")
 
 
-def _uniform_chunks(cfg: TrialConfig) -> Iterator[np.ndarray]:
-    """The (trials, 4) uniform stream in row blocks; together they equal one draw."""
-    gen = np.random.Generator(np.random.Philox(key=cfg.seed))
+def _word_blocks(cfg: TrialConfig) -> Iterator[np.ndarray]:
+    """The (trials, 4) raw word stream in row blocks; together they equal one draw."""
+    bits = np.random.Philox(key=cfg.seed)
     for start in range(0, cfg.trials, _CHUNK_TRIALS):
-        yield gen.random((min(_CHUNK_TRIALS, cfg.trials - start), 4))
+        yield bits.random_raw(4 * min(_CHUNK_TRIALS, cfg.trials - start)).reshape(-1, 4)
 
 
-def _component_indices(cum: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    return np.minimum(np.searchsorted(cum, draws, side="right"), cum.size - 1)
+def _mantissas(words: np.ndarray) -> np.ndarray:
+    """m = w >> 11 per word, so that Generator.random's u is m * 2^-53."""
+    return (words >> _MANTISSA_SHIFT).view(np.int64)
 
 
-def _source_keys(cum: np.ndarray, chunk: np.ndarray, pairs: bool) -> np.ndarray:
-    """Per-row component index, or first * components + second for i.i.d. pairs."""
-    keys = _component_indices(cum, chunk[:, 0])
-    if pairs:
-        keys = keys * cum.size + _component_indices(cum, chunk[:, 1])
-    return keys
+def _buckets(words: np.ndarray) -> np.ndarray:
+    """Top 16 bits per word, the index into a lookup table."""
+    return (words >> _BUCKET_SHIFT).view(np.int64)
+
+
+def _ticks(values) -> np.ndarray:
+    """ceil(v * 2^53) per value in [0, 1]: v <= u iff ticks <= m, u < v iff m < ticks."""
+    return np.ceil(np.clip(values, 0.0, 1.0) * 2.0**53).astype(np.int64)
+
+
+class _StepLookup:
+    """#{v <= u} over sorted values v, i.e. searchsorted(v, u, side="right"), per raw word.
+
+    table[b] counts the ticks in buckets up to b, which is every word's count
+    in bucket b unless a tick falls strictly inside it; such buckets hold -1
+    and their rows are resolved by a binary search.
+    """
+
+    def __init__(self, values) -> None:
+        self.ticks = _ticks(values)
+        buckets = self.ticks >> _SPAN_SHIFT
+        self.table = np.zeros(_BUCKETS, dtype=np.int32)
+        np.add.at(self.table, buckets[buckets < _BUCKETS], 1)
+        np.add.accumulate(self.table, out=self.table)
+        self.table[buckets[self.ticks % (1 << _SPAN_SHIFT) != 0]] = -1
+
+    def count(self, words: np.ndarray) -> np.ndarray:
+        out = self.table[_buckets(words)]
+        inside = np.flatnonzero(out < 0)
+        if inside.size:
+            out[inside] = np.searchsorted(self.ticks, _mantissas(words[inside]), side="right")
+        return out
 
 
 def _source_mode(cfg: TrialConfig, single_dim: int, copies: int) -> bool:
@@ -147,14 +198,30 @@ def simulate_protocol(
     return passes, p_emp, stderr
 
 
-def _bell_table(n: int, pair_matrix: np.ndarray) -> np.ndarray:
-    """Flattened Bell-outcome distribution for a (d, d) pair amplitude matrix."""
+def _bell_table(n: int, pair: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
+    """Flattened Bell-outcome distribution of a (d, d) pair amplitude matrix.
+
+    pair(r, s) returns the matrix entries at broadcast index arrays. Entry
+    [z, x] of the table is |sum_r (-1)^popcount(z & r) pair[r, r ^ x]|^2 / d,
+    computed one block of columns at a time by an in-place fast
+    Walsh-Hadamard transform over r, so no d x d Hadamard matrix is formed.
+    """
     # Not shared with bell_outcome_amplitudes, so the sampler's cross-check stays independent.
     d = 1 << n
     rows = np.arange(d, dtype=np.int64)
-    gathered = pair_matrix[rows[:, None], rows[None, :] ^ rows[:, None]]
-    amps = hadamard(d) @ gathered / np.sqrt(d)
-    return np.abs(amps.reshape(-1)) ** 2
+    width = max(1, _TABLE_BLOCK_ENTRIES >> n)
+    probs = np.empty((d, d))
+    for start in range(0, d, width):
+        block = pair(rows[:, None], rows[:, None] ^ rows[None, start : start + width])
+        half = 1
+        while half < d:
+            butterfly = block.reshape(d // (2 * half), 2, half, -1)
+            low = butterfly[:, 0].copy()
+            butterfly[:, 0] += butterfly[:, 1]
+            np.subtract(low, butterfly[:, 1], out=butterfly[:, 1])
+            half *= 2
+        probs[:, start : start + width] = np.abs(block) ** 2 / d
+    return probs.reshape(-1)
 
 
 def _acceptance_flips(probs: np.ndarray, accepted: np.ndarray) -> tuple[bool, np.ndarray]:
@@ -172,29 +239,55 @@ def _acceptance_flips(probs: np.ndarray, accepted: np.ndarray) -> tuple[bool, np
 
 
 def _graph_passes(gs: GraphStrategy, cfg: TrialConfig) -> int:
-    d = 1 << gs.graph.n
+    n = gs.graph.n
+    d = 1 << n
     iid = _source_mode(cfg, d, 2)
     kets = [k.amplitudes for _, k in cfg.source]
-    cum = np.cumsum([w for w, _ in cfg.source])
+    comps = len(kets)
+    source = _StepLookup(np.cumsum([w for w, _ in cfg.source])[:-1])
 
     accepted = np.zeros(d * d, dtype=bool)
     accepted[parity_accept_indices(gs.graph) * d + np.arange(d)] = True
 
-    flips: dict[int, tuple[bool, np.ndarray]] = {}
+    # A key gets its row of per-bucket codes on first use; slots[key] is that row.
+    num_keys = comps * comps if iid else comps
+    slots = np.full(num_keys, -1, dtype=np.int64)
+    codes = np.empty(0, dtype=np.uint8)
+    exact: list[tuple[bool, np.ndarray]] = []
     passes = 0
-    for chunk in _uniform_chunks(cfg):
-        keys = _source_keys(cum, chunk, iid)
-        for key in np.flatnonzero(np.bincount(keys)):
-            if key not in flips:
-                if iid:
-                    pair = np.outer(kets[key // len(kets)], kets[key % len(kets)])
-                else:
-                    pair = kets[key].reshape(d, d)
-                flips[key] = _acceptance_flips(_bell_table(gs.graph.n, pair), accepted)
-            first, values = flips[key]
-            draws = chunk[keys == key, 2]
-            odd = int(np.count_nonzero(np.searchsorted(values, draws, side="right") & 1))
-            passes += draws.size - odd if first else odd
+    for words in _word_blocks(cfg):
+        keys = source.count(words[:, 0])
+        if iid:
+            keys *= comps
+            keys += source.count(words[:, 1])
+        for key in np.flatnonzero((np.bincount(keys, minlength=num_keys) > 0) & (slots < 0)):
+            if iid:
+                a, b = kets[key // comps], kets[key % comps]
+                probs = _bell_table(n, lambda r, s: a[r] * b[s])
+            else:
+                pair = kets[key].reshape(d, d)
+                probs = _bell_table(n, lambda r, s: pair[r, s])
+            accept_first, values = _acceptance_flips(probs, accepted)
+            step = _StepLookup(values)
+            key_codes = (step.table & 1).astype(np.uint8)
+            key_codes ^= accept_first
+            key_codes[step.table < 0] = _RESOLVE
+            codes = np.concatenate([codes, key_codes])
+            slots[key] = len(exact)
+            exact.append((accept_first, step.ticks))
+        index = slots[keys]
+        index *= _BUCKETS
+        index += _buckets(words[:, 2])
+        code = codes[index]
+        passes += int(np.count_nonzero(code == _PASS))
+        resolve = np.flatnonzero(code == _RESOLVE)
+        if resolve.size:
+            held, mantissas = slots[keys[resolve]], _mantissas(words[resolve, 2])
+            for row in np.flatnonzero(np.bincount(held)):
+                accept_first, ticks = exact[row]
+                odd = np.searchsorted(ticks, mantissas[held == row], side="right") & 1
+                passes += int(np.count_nonzero(odd != accept_first))
+        del keys, index, code  # free the per-row arrays before the next block is drawn
     return passes
 
 
@@ -206,12 +299,11 @@ def _decomposition_passes(s: Strategy, cfg: TrialConfig) -> int:
             "provide composite components"
         )
     kets = [k.amplitudes for _, k in cfg.source]
-    cum = np.cumsum([w for w, _ in cfg.source])
+    comps = len(kets)
+    source = _StepLookup(np.cumsum([w for w, _ in cfg.source])[:-1])
 
-    probs = np.array([p for p, _ in s.decomposition])
     tests = [t.entries for _, t in s.decomposition]
-    cum_tests = np.cumsum(probs)
-    cum_tests[-1] = max(cum_tests[-1], 1.0)
+    test_lookup = _StepLookup(np.cumsum([p for p, _ in s.decomposition])[:-1])
 
     pairs = iid and s.copies == 2
     states = [np.kron(a, b) for a in kets for b in kets] if pairs else kets
@@ -219,14 +311,18 @@ def _decomposition_passes(s: Strategy, cfg: TrialConfig) -> int:
     table = np.empty((len(states), len(tests)))
     for i, state in enumerate(states):
         for l, test in enumerate(tests):
-            val = float(np.real(state.conj() @ (test @ state)))
-            table[i, l] = min(max(val, 0.0), 1.0)
+            table[i, l] = float(np.real(state.conj() @ (test @ state)))
+    accept = _ticks(table).reshape(-1)
 
     passes = 0
-    for chunk in _uniform_chunks(cfg):
-        keys = _source_keys(cum, chunk, pairs)
-        drawn = _component_indices(cum_tests, chunk[:, 2])
-        passes += int(np.count_nonzero(chunk[:, 3] < table[keys, drawn]))
+    for words in _word_blocks(cfg):
+        keys = source.count(words[:, 0])
+        if pairs:
+            keys *= comps
+            keys += source.count(words[:, 1])
+        keys *= len(tests)
+        keys += test_lookup.count(words[:, 2])
+        passes += int(np.count_nonzero(_mantissas(words[:, 3]) < accept[keys]))
     return passes
 
 

@@ -64,7 +64,7 @@ class Ket:
             )
         if self.normalized:
             norm = float(np.linalg.norm(self.amplitudes))
-            if abs(norm - 1.0) > 1e-12:
+            if not abs(norm - 1.0) <= 1e-12:
                 raise ValueError(f"ket tagged normalized but |norm - 1| = {abs(norm - 1.0):.3e}")
 
     @property

@@ -91,6 +91,8 @@ class Strategy:
             total = 0.0
             acc = np.zeros_like(self.omega.entries)
             for idx, (prob, test) in enumerate(self.decomposition):
+                if not math.isfinite(prob):
+                    raise ValueError(f"test {idx} has non-finite probability {prob}")
                 if prob < -STRUCT_TOL:
                     raise ValueError(f"test {idx} has negative probability {prob}")
                 if test.dim != self.omega.dim:
@@ -541,4 +543,6 @@ def _decode_complex(pairs) -> np.ndarray:
     arr = np.asarray(pairs, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("complex payload must be a list of [re, im] pairs")
+    if not np.isfinite(arr).all():
+        raise ValueError("complex payload has non-finite entries")
     return arr[:, 0] + 1.0j * arr[:, 1]

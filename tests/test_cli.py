@@ -362,20 +362,31 @@ def test_cli_import_leaves_scipy_out():
     assert proc.stdout.strip() == "False"
 
 
-def test_analyze_graph_at_the_cap_fits_in_3gb(tmp_path):
-    # n = 13 is the largest graph the dense-dimension cap admits.
+def run_ring13_in_3gb(tmp_path, command: str, *flags: str) -> subprocess.CompletedProcess:
+    """Run a command on an n = 13 ring, the largest graph the dense-dimension cap admits."""
     ring = "n 13\n" + "".join(f"{i} {i % 13 + 1}\n" for i in range(1, 14))
 
     def limit_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (3_000_000 * 1024,) * 2)
 
-    proc = subprocess.run(
-        [sys.executable, "-m", "qsvkit.cli", "analyze", "--graph", write_graph(tmp_path, ring)],
+    return subprocess.run(
+        [sys.executable, "-m", "qsvkit.cli", command, "--graph", write_graph(tmp_path, ring), *flags],
         capture_output=True,
         text=True,
         env=child_env(),
         preexec_fn=limit_address_space,
     )
+
+
+def test_analyze_graph_at_the_cap_fits_in_3gb(tmp_path):
+    proc = run_ring13_in_3gb(tmp_path, "analyze")
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert max(report["lambda_star"], report["gamma_star"], report["xi_star"]) <= 1e-9
+
+
+def test_simulate_graph_at_the_cap_fits_in_3gb(tmp_path):
+    proc = run_ring13_in_3gb(tmp_path, "simulate", "--trials", "1000")
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["passes"] == 1000 and report["F_true"] == 1.0

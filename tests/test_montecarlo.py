@@ -10,14 +10,14 @@ from conftest import random_unit
 from qsvkit import montecarlo
 from qsvkit.ghz import mub_strategy_d4
 from qsvkit.graph_strategy import graph_pass_probability, omega_graph
-from qsvkit.graphs import Graph, graph_state
+from qsvkit.graphs import Graph, graph_state, parity_accept_indices
 from qsvkit.montecarlo import (
     TrialConfig,
     fidelity_experiment,
     simulate_protocol,
     worst_case_oracle,
 )
-from qsvkit.qcore import Ket, Operator, bell_ket, orthonormal_complement
+from qsvkit.qcore import Ket, Operator, bell_ket, hadamard, orthonormal_complement
 from qsvkit.strategy import Strategy, reference_bell_artifacts
 
 
@@ -71,6 +71,136 @@ def test_trial_config_validation(rng):
     other = Ket(random_unit(rng, 2), (2,))
     with pytest.raises(ValueError, match="dim"):
         TrialConfig(10, 1, [(0.5, ket), (0.5, other)])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="non-finite weight"):
+            TrialConfig(10, 1, [(bad, ket), (0.5, ket)])
+        with pytest.raises(ValueError, match="non-finite weight"):
+            TrialConfig(10, 1, [(0.5, ket), (bad, ket)])
+
+
+# ---------------------------------------------------------------------
+# Exact integer lookups on the raw words
+# ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+def test_uniforms_are_the_top_53_bits_of_the_raw_philox_words(seed):
+    k = 5000
+    uniforms = np.random.Generator(np.random.Philox(key=seed)).random((k, 4))
+    words = np.random.Philox(key=seed).random_raw(4 * k).reshape(k, 4)
+    assert np.array_equal(uniforms, (words >> 11) * 2.0**-53)
+
+
+def test_step_lookup_equals_searchsorted_on_the_uniforms():
+    tick, edge = 2.0**-53, 2.0**-16  # one unit of w >> 11; one bucket of the top 16 bits
+    thresholds = np.sort([
+        -1e-12, 0.0, 0.0, 1e-20, 2e-20, tick,  # at or below zero; under one tick
+        edge - tick, edge, edge, edge + tick, 37 * edge, 37 * edge,  # on and beside bucket edges
+        0.25, 0.5 - tick, 0.5, 0.7, 0.7, 0.7,  # repeated
+        1.0 - tick, 1.0, 1.0, 1.0 + 2.0**-52,  # at and past one
+    ])
+    lookup = montecarlo._StepLookup(thresholds)
+    assert (lookup.table < 0).any() and (lookup.table >= 0).any()
+
+    rng = np.random.Generator(np.random.Philox(key=4))
+    exact = [round(t * 2**53) for t in thresholds if 0.0 <= t < 1.0 and (t * 2**53).is_integer()]
+    mantissas = np.concatenate([
+        [m + step for m in exact for step in (-1, 0, 1)],  # draws equal to a threshold and beside it
+        np.arange(0, 2**53, 2**37),  # every bucket start
+        np.arange(2**37 - 1, 2**53, 2**37),  # every bucket end
+        rng.integers(0, 2**53, size=20000),
+    ]).astype(np.uint64)
+    mantissas = mantissas[mantissas < 2**53]
+    low = rng.integers(0, 2**11, size=mantissas.size, dtype=np.uint64)
+    low[::2] = 2**11 - 1
+    words = (mantissas << np.uint64(11)) | low
+
+    expected = np.searchsorted(thresholds, (words >> 11) * 2.0**-53, side="right")
+    assert np.array_equal(lookup.count(words), expected)
+    assert np.array_equal(lookup.count(words[:0]), expected[:0])
+
+
+def threshold_words(rng, pools: list[np.ndarray], rows: int = 20000) -> np.ndarray:
+    """Rows of raw words whose w >> 11 per column is drawn from that column's pool."""
+    columns = []
+    for pool in pools:
+        mantissas = rng.choice(np.asarray(pool, dtype=np.uint64), size=rows)
+        columns.append((mantissas << np.uint64(11)) | rng.integers(0, 2**11, size=rows, dtype=np.uint64))
+    return np.stack(columns, axis=1)
+
+
+def near(rng, values) -> np.ndarray:
+    """w >> 11 at, just below and just above ceil(v * 2^53) per value, and some at random."""
+    ticks = np.ceil(np.clip(np.ravel(values), 0.0, 1.0) * 2.0**53).astype(np.int64)
+    pool = np.concatenate([ticks - 1, ticks, ticks + 1, rng.integers(0, 2**53, size=64)])
+    return np.clip(pool, 0, 2**53 - 1)
+
+
+def sample_words(monkeypatch, subject, source, words) -> int:
+    monkeypatch.setattr(montecarlo, "_word_blocks", lambda cfg: iter([words]))
+    return simulate_protocol(subject, TrialConfig(len(words), 0, source))[0]
+
+
+def inverse_cdf(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    return np.minimum(np.searchsorted(cum, u, side="right"), cum.size - 1)
+
+
+def test_decomposition_sampler_follows_the_uniform_rule_on_threshold_words(monkeypatch):
+    # Reference: the uniforms u = (w >> 11) 2^-53 through inverse CDFs and u < p.
+    rng = np.random.Generator(np.random.Philox(key=8))
+    s = bell_product_strategy()
+    kets = [k.amplitudes for _, k in BELL_MIX]
+    cum_w = np.cumsum([w for w, _ in BELL_MIX])
+    cum_p = np.cumsum([p for p, _ in s.decomposition])
+    table = np.clip([
+        [float(np.real(np.vdot(v, t.entries @ v))) for _, t in s.decomposition]
+        for v in (np.kron(a, b) for a in kets for b in kets)
+    ], 0.0, 1.0)
+    words = threshold_words(rng, [near(rng, cum_w), near(rng, cum_w), near(rng, cum_p), near(rng, table)])
+
+    u = (words >> 11) * 2.0**-53
+    keys = inverse_cdf(cum_w, u[:, 0]) * len(kets) + inverse_cdf(cum_w, u[:, 1])
+    expected = int(np.count_nonzero(u[:, 3] < table[keys, inverse_cdf(cum_p, u[:, 2])]))
+    assert sample_words(monkeypatch, s, BELL_MIX, words) == expected
+
+
+def test_graph_sampler_follows_the_uniform_rule_on_threshold_words(monkeypatch):
+    # Reference: the drawn Bell outcome is the inverse CDF of the sampler's own table at u.
+    rng = np.random.Generator(np.random.Philox(key=9))
+    g = ring(3)
+    source = iid_graph_source(3)
+    kets = [k.amplitudes for _, k in source]
+    d = 8
+    accepted = np.zeros(d * d, dtype=bool)
+    accepted[parity_accept_indices(g) * d + np.arange(d)] = True
+    cums = [
+        np.cumsum(montecarlo._bell_table(3, lambda r, s: a[r] * b[s])) for a in kets for b in kets
+    ]
+    flips = np.concatenate([c[:-1][accepted[:-1] != accepted[1:]] for c in cums])
+    cum_w = np.cumsum([w for w, _ in source])
+    words = threshold_words(rng, [near(rng, cum_w), near(rng, cum_w), near(rng, flips), [0]])
+
+    u = (words >> 11) * 2.0**-53
+    keys = inverse_cdf(cum_w, u[:, 0]) * len(kets) + inverse_cdf(cum_w, u[:, 1])
+    expected = sum(int(accepted[inverse_cdf(cums[k], u[row, 2])]) for row, k in enumerate(keys))
+    assert sample_words(monkeypatch, omega_graph(g), source, words) == expected
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("block", ["default", "one-column", "three-columns"])
+def test_bell_table_matches_the_hadamard_product(monkeypatch, n, block):
+    d = 1 << n
+    if block != "default":
+        monkeypatch.setattr(montecarlo, "_TABLE_BLOCK_ENTRIES", (1 if block == "one-column" else 3) << n)
+    rows = np.arange(d)
+    a, b = closed_form_ket(d, 0.3 + n), closed_form_ket(d, 1.9 * n)
+    pair = closed_form_ket(d * d, 0.61 * n).reshape(d, d)
+    for matrix, table in (
+        (np.outer(a, b), montecarlo._bell_table(n, lambda r, s: a[r] * b[s])),
+        (pair, montecarlo._bell_table(n, lambda r, s: pair[r, s])),
+    ):
+        gathered = matrix[rows[:, None], rows[None, :] ^ rows[:, None]]
+        reference = np.abs((hadamard(d) @ gathered / np.sqrt(d)).reshape(-1)) ** 2
+        assert np.max(np.abs(table - reference)) <= 1e-12
 
 
 # ---------------------------------------------------------------------

@@ -57,6 +57,8 @@ def test_strategy_decomposition_checks():
     Strategy(omega, target, 1, [(0.5, t1), (0.5, t2)])
     with pytest.raises(ValueError, match="negative probability"):
         Strategy(omega, target, 1, [(1.5, t1), (-0.5, t2)])
+    with pytest.raises(ValueError, match="non-finite probability"):
+        Strategy(omega, target, 1, [(np.nan, t1), (0.5, t2)])
     with pytest.raises(ValueError, match="sum to"):
         Strategy(omega, target, 1, [(0.5, t1), (0.4, t2)])
     soft = Operator(np.diag([1.0, 0.5]).astype(complex), (2,), hermitian=True)
