@@ -15,10 +15,12 @@ local Bell projectors; the locality test in tests/test_graph_strategy.py
 checks that.
 
 Matrix-free path: the operator is a sum of 2^n rank-1 projectors onto
-orthonormal accept kets K_b, so its action on a vector costs one
-Walsh-Hadamard-sized matrix product instead of a 16^n dense multiply, and
-every two-copy compression over (target (x) target-perp) is built from the
-overlaps <K_b|target (x) v_i>. Every accept ket is swap-symmetric, so the
+orthonormal accept kets K_b. Entry (u, u xor b) of K_b is S[b, u] / sqrt(d)
+with the Walsh sign S[b, u] = (-1)^popcount(c(b) & u), and every other entry
+is 0. One row-block iterator over (b, S[b, .], u xor b) feeds every consumer,
+so applying the operator costs O(4^n) work instead of a 16^n dense multiply,
+and every two-copy compression over (target (x) target-perp) is built from
+the overlaps <K_b|target (x) v_i>. Every accept ket is swap-symmetric, so the
 overlaps with v_i (x) target are the same numbers. Verification bounds all
 scalars by one Frobenius norm of those overlaps, streamed in row blocks of
 about 2^20 entries in O(4^n) time, with no basis of target-perp and no
@@ -38,12 +40,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph, GraphCode, graph_state, parity_accept_indices, parity_code
-from .qcore import DENSE_DIM_CAP, Ket, Operator, hadamard
+from .qcore import DENSE_DIM_CAP, Ket, Operator, walsh_signs
 from .strategy import Strategy, two_copy_analysis
 
 MATRIX_FREE_DEFAULT_FROM = 5
 
-# Entries per row block of the streamed certificate (16 MB of complex128).
+# Entries per row block of the accept-ket iterator (16 MB of complex128).
 _BLOCK_ENTRIES = 1 << 20
 
 
@@ -71,13 +73,11 @@ class GraphStrategy:
             return None
         g = self.graph
         d = 1 << g.n
-        rows = np.arange(d, dtype=np.int64)
-        # Column b of the real ket matrix is the accept ket for codeword b:
-        # entry (u, u xor b) is H[u, c(b)] / sqrt(d).
+        cols = np.arange(d, dtype=np.int64)
+        # Column b of the real ket matrix is the accept ket K_b.
         kets = np.zeros((d * d, d))
-        kets[rows[:, None] * d + (rows[:, None] ^ rows[None, :]), rows[None, :]] = (
-            hadamard(d)[:, parity_accept_indices(g)] / np.sqrt(d)
-        )
+        for b, signs, flips in _accept_rows(g):
+            kets[cols * d + flips, b] = signs / np.sqrt(d)
         omega = Operator(kets @ kets.T, (d, d), hermitian=True)
         return Strategy(omega, graph_state(g), copies=2)
 
@@ -104,38 +104,45 @@ def omega_graph(g: Graph, matrix_free: bool | None = None) -> GraphStrategy:
 # Matrix-free application
 # =====================================================================
 
-def _bell_transform(v: np.ndarray) -> np.ndarray:
-    """Bell-outcome amplitudes of a (d, d) doubled-space amplitude matrix.
+def _accept_rows(g: Graph):
+    """Yield (b, S[b, .], u xor b) in row blocks of about _BLOCK_ENTRIES entries.
 
-    Entry [z, x] is the overlap of v with the joint Bell ket whose phase bits
-    form z and flip bits form x: an xor gather and one Hadamard product.
-    """
-    d = v.shape[0]
-    rows = np.arange(d, dtype=np.int64)
-    return hadamard(d) @ v[rows[:, None], rows[None, :] ^ rows[:, None]] / np.sqrt(d)
-
-
-def bell_outcome_amplitudes(g: Graph, sigma: Ket, sigma_prime: Ket) -> np.ndarray:
-    """Amplitudes of all pairwise Bell outcomes for a product input.
-
-    Entry [z, x] is the overlap of sigma (x) sigma_prime with the joint Bell
-    ket whose phase bits form z and flip bits form x (indices in vertex
-    order). Squared magnitudes give the full outcome distribution.
+    b is a (h, 1) column of codewords, S[b, u] = (-1)^popcount(c(b) & u) the
+    (h, d) Walsh signs and u xor b the (h, d) O' indices, so accept ket K_b
+    has entry S[b, u] / sqrt(d) at (u, u xor b).
     """
     d = 1 << g.n
-    if sigma.dim != d or sigma_prime.dim != d:
-        raise ValueError(f"inputs must live on {g.n} qubits each")
-    return _bell_transform(np.outer(sigma.amplitudes, sigma_prime.amplitudes))
+    cols = np.arange(d, dtype=np.int64)
+    codes = parity_accept_indices(g)
+    height = max(1, _BLOCK_ENTRIES // d)
+    for start in range(0, d, height):
+        b = cols[start:start + height, None]
+        yield b, walsh_signs(codes[b], cols), cols ^ b
+
+
+def _accepted_mass(g: Graph, sigma: np.ndarray, sigma_prime: np.ndarray) -> float:
+    """sum_b |<K_b|sigma (x) sigma_prime>|^2, without forming the d x d product."""
+    total = 0.0
+    for _, signs, flips in _accept_rows(g):
+        amps = (signs * sigma * sigma_prime[flips]).sum(axis=1) / np.sqrt(sigma.size)
+        total += float(np.vdot(amps, amps).real)
+    return total
 
 
 def apply_omega(gs: GraphStrategy, vec: np.ndarray) -> np.ndarray:
-    """Apply the accept operator to a doubled-space vector without densifying."""
+    """Apply the accept operator to a doubled-space vector without densifying.
+
+    Omega v = sum_b <K_b|v> K_b: each block of overlaps is scattered back onto
+    the same (u, u xor b) entries it was gathered from, in O(4^n) work.
+    """
     d = 1 << gs.graph.n
-    rows = np.arange(d, dtype=np.int64)
-    c_idx = parity_accept_indices(gs.graph)
-    amps = _bell_transform(np.asarray(vec, dtype=complex).reshape(d, d))[c_idx, rows]
-    spread = (hadamard(d)[:, c_idx] * amps[None, :]) / np.sqrt(d)
-    return spread[rows[:, None], rows[None, :] ^ rows[:, None]].reshape(-1)
+    cols = np.arange(d, dtype=np.int64)
+    v = np.asarray(vec, dtype=complex).reshape(d, d)
+    out = np.zeros((d, d), dtype=complex)
+    for _, signs, flips in _accept_rows(gs.graph):
+        amps = (signs * v[cols, flips]).sum(axis=1, keepdims=True) / d
+        out[cols, flips] = signs * amps
+    return out.reshape(-1)
 
 
 # =====================================================================
@@ -187,16 +194,11 @@ def _frobenius_certificate(g: Graph, psi: np.ndarray) -> float:
     Raises ValueError if a swap sign is -1.
     """
     d = psi.size
-    cols = np.arange(d, dtype=np.int64)
-    codes = parity_accept_indices(g)
-    if np.any(np.bitwise_count(codes & cols) & 1):
-        raise ValueError("an accept ket is swap-antisymmetric; the graph is not simple")
-    height = max(1, _BLOCK_ENTRIES // d)
     total = 0.0
-    for start in range(0, d, height):
-        b = cols[start:start + height, None]
-        signs = 1.0 - 2.0 * (np.bitwise_count(codes[b] & cols) & 1)
-        rows = signs * psi[cols ^ b] / np.sqrt(d)
+    for b, signs, flips in _accept_rows(g):
+        if np.any(np.take_along_axis(signs, b, axis=1) < 0):
+            raise ValueError("an accept ket is swap-antisymmetric; the graph is not simple")
+        rows = signs * psi[flips] / np.sqrt(d)
         rows -= np.outer(rows @ psi, psi.conj())
         total += float(np.vdot(rows, rows).real)
     return float(np.sqrt(total))
@@ -249,19 +251,14 @@ def graph_pass_probability(gs: GraphStrategy, sigma: Ket, sigma_prime: Ket) -> t
         if abs(norm - 1.0) > 1e-10:
             raise ValueError(f"{name} is not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
 
-    rows = np.arange(d, dtype=np.int64)
-    c_idx = parity_accept_indices(g)
-    outcome = bell_outcome_amplitudes(g, sigma, sigma_prime)
-    exact = float(np.sum(np.abs(outcome[c_idx, rows]) ** 2))
+    exact = _accepted_mass(g, sigma.amplitudes, sigma_prime.amplitudes)
 
     target = graph_state(g).amplitudes
     eps_r, perp = _split_against_target(sigma.amplitudes, target)
     eps_rp, perp_p = _split_against_target(sigma_prime.amplitudes, target)
     analytic = (1.0 - eps_r) * (1.0 - eps_rp)
     if perp is not None and perp_p is not None:
-        perp_out = bell_outcome_amplitudes(g, Ket(perp, sigma.dims), Ket(perp_p, sigma_prime.dims))
-        q = float(np.sum(np.abs(perp_out[c_idx, rows]) ** 2))
-        analytic += eps_r * eps_rp * q
+        analytic += eps_r * eps_rp * _accepted_mass(g, perp, perp_p)
     return exact, analytic
 
 

@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .qcore import DENSE_DIM_CAP, HADAMARD, Ket, Operator
+from .qcore import DENSE_DIM_CAP, Ket, Operator, walsh_signs
 
 # =====================================================================
 # Domain types
@@ -116,10 +116,9 @@ def _edge_signs(g: Graph) -> np.ndarray:
 
 
 def _hadamard_layer(n: int) -> np.ndarray:
-    out = np.array([[1.0]], dtype=complex)
-    for _ in range(n):
-        out = np.kron(out, HADAMARD)
-    return out
+    """Hadamard on each of n qubits: the (2^n, 2^n) Walsh signs over sqrt(2^n)."""
+    idx = np.arange(1 << n, dtype=np.int64)
+    return walsh_signs(idx[:, None], idx[None, :]) / np.sqrt(1 << n)
 
 
 # =====================================================================
@@ -187,13 +186,11 @@ def _code_free_gates(g: Graph) -> tuple[Operator, Operator]:
             f"dense two-register operator side {d * d} exceeds cap {DENSE_DIM_CAP}"
         )
 
-    # A: permutation |i, j> -> |i, j xor i> followed by Hadamards on O.
+    # A: permutation |i, j> -> |i, j xor i> followed by Hadamards on O, so
+    # column i*d + j of A is column i*d + (j xor i) of H (x) I.
     rows = np.arange(d, dtype=np.int64)
-    cx = np.zeros((d * d, d * d), dtype=complex)
-    src = (rows[:, None] * d + rows[None, :]).ravel()
     dst = (rows[:, None] * d + (rows[None, :] ^ rows[:, None])).ravel()
-    cx[dst, src] = 1.0
-    a_op = np.kron(_hadamard_layer(n), np.eye(d, dtype=complex)) @ cx
+    a_op = np.kron(_hadamard_layer(n), np.eye(d))[:, dst]
 
     # B: Hadamard layer after the CZ layer.
     b_op = _hadamard_layer(n) * _edge_signs(g)[None, :]

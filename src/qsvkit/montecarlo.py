@@ -206,7 +206,8 @@ def _bell_table(n: int, pair: Callable[[np.ndarray, np.ndarray], np.ndarray]) ->
     computed one block of columns at a time by an in-place fast
     Walsh-Hadamard transform over r, so no d x d Hadamard matrix is formed.
     """
-    # Not shared with bell_outcome_amplitudes, so the sampler's cross-check stays independent.
+    # Shares no code with graph_strategy's accept-ket rows, so the sampler's
+    # cross-check stays independent.
     d = 1 << n
     rows = np.arange(d, dtype=np.int64)
     width = max(1, _TABLE_BLOCK_ENTRIES >> n)

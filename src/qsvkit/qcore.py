@@ -2,8 +2,8 @@
 
 This module supplies the building blocks used everywhere else in the package:
 kets and operators tagged with their tensor-factor dimensions, a matrix-free
-extremal eigenvalue solver, the +-1 Hadamard matrices, the two-qubit Bell
-basis, and the orthonormal complement of a target state.
+extremal eigenvalue solver, the Walsh sign rule (-1)^popcount(i & j), the
+two-qubit Bell basis, and the orthonormal complement of a target state.
 
 Conventions
 -----------
@@ -20,7 +20,6 @@ Conventions
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -167,20 +166,9 @@ def max_eigenvalue_matfree(
     )
 
 
-@functools.lru_cache(maxsize=None)
-def hadamard(d: int) -> np.ndarray:
-    """Unnormalized d x d Hadamard matrix, entry [i, j] = (-1)^popcount(i & j).
-
-    Sylvester construction for d a power of two. The result is cached per
-    size and returned read-only, so callers share one copy.
-    """
-    if d < 1 or d & (d - 1):
-        raise ValueError(f"Hadamard order must be a power of two: {d}")
-    out = np.ones((1, 1))
-    while out.shape[0] < d:
-        out = np.block([[out, out], [out, -out]])
-    out.flags.writeable = False
-    return out
+def walsh_signs(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Walsh signs (-1)^popcount(r & c) as floats, broadcast over integer arrays."""
+    return 1.0 - 2.0 * (np.bitwise_count(rows & cols) & 1)
 
 
 def bell_ket(z: int, x: int) -> Ket:

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qcore import (
+    DENSE_DIM_CAP,
     HADAMARD,
     PAULI_X,
     PAULI_Y,
@@ -511,8 +512,17 @@ def strategy_from_json(data: dict) -> Strategy:
     """
     dims = tuple(int(d) for d in data["dims"])
     copies = int(data["copies"])
+    # Past this range any target of dimension >= 2 exceeds the dense cap, so
+    # dim ** copies (and the copies-long dims tuple) is only formed when small.
+    max_copies = DENSE_DIM_CAP.bit_length() - 1
+    if not 1 <= copies <= max_copies:
+        raise ValueError(f"copies = {copies} outside [1, {max_copies}]")
     target = Ket(_decode_complex(data["target"]), dims)
     side = target.dim ** copies
+    if side > DENSE_DIM_CAP:
+        raise ValueError(
+            f"copies = {copies} of a dimension-{target.dim} target exceeds cap {DENSE_DIM_CAP}"
+        )
     omega_vec = _decode_complex(data["omega"])
     if omega_vec.size != side * side:
         raise ValueError(f"omega has {omega_vec.size} entries, expected {side * side}")

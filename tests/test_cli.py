@@ -186,6 +186,23 @@ def test_analyze_missing_and_malformed_files(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("copies", [0, -1, 7, 40, 10**7, "trivial"])
+def test_strategy_copies_out_of_range_exit_2_naming_copies(tmp_path, capsys, copies):
+    # 10^7 copies must be refused before dim ** copies is ever computed, also
+    # for a dimension-1 target, whose side never grows.
+    if copies == "trivial":
+        doc = {"dims": [1], "copies": 10**7, "target": [[1.0, 0.0]], "omega": [[1.0, 0.0]]}
+    else:
+        doc = strategy_to_json(reference_bell_artifacts()[0])
+        doc["copies"] = copies
+    path = tmp_path / "strategy.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["analyze", "--strategy", str(path)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert "copies" in lines[0] and "Traceback" not in lines[0]
+
+
 @pytest.mark.parametrize("command", ["analyze", "simulate"])
 @pytest.mark.parametrize("n", [14, 30])
 def test_oversized_graph_exits_with_cap_message(tmp_path, capsys, command, n):

@@ -144,7 +144,7 @@ def malformed_strategy_docs(draw) -> dict:
         ))
     elif field == "copies":
         doc["copies"] = draw(st.one_of(
-            NOT_A_NUMBER, NON_FINITE, st.integers(min_value=-3, max_value=0), st.integers(2, 6)
+            NOT_A_NUMBER, NON_FINITE, st.integers(min_value=-3, max_value=0), st.integers(2, 10**9)
         ))
     elif field in ("target", "omega"):
         doc[field] = poison_pair_list(draw, doc[field])

@@ -12,7 +12,6 @@ from qsvkit.graph_strategy import (
     MATRIX_FREE_DEFAULT_FROM,
     _frobenius_certificate,
     apply_omega,
-    bell_outcome_amplitudes,
     decide_parity_pass,
     fidelity_from_passrate,
     graph_pass_probability,
@@ -126,43 +125,8 @@ def test_dense_verification_past_n3_never_builds_the_operator():
 
 
 # ---------------------------------------------------------------------
-# Outcome amplitudes and matrix-free application
+# Matrix-free application
 # ---------------------------------------------------------------------
-
-def test_bell_outcome_amplitudes_unit_mass(rng):
-    for g in (PATH2, TRIANGLE):
-        d = 1 << g.n
-        sigma = Ket(random_unit(rng, d), (2,) * g.n)
-        sigma_p = Ket(random_unit(rng, d), (2,) * g.n)
-        table = bell_outcome_amplitudes(g, sigma, sigma_p)
-        assert table.shape == (d, d)
-        assert abs(np.sum(np.abs(table) ** 2) - 1.0) < 1e-12
-
-
-def test_bell_outcome_amplitudes_origin_input():
-    # |00> x |00> only reaches flip-string 0, uniformly over phase strings.
-    e0 = Ket(np.array([1.0, 0.0, 0.0, 0.0]), (2, 2))
-    table = bell_outcome_amplitudes(PATH2, e0, e0)
-    expected = np.zeros((4, 4))
-    expected[:, 0] = 0.5
-    assert np.max(np.abs(table - expected)) < 1e-15
-
-
-def test_bell_outcome_amplitudes_true_state_mass_on_accepted_set():
-    for g in (PATH2, TRIANGLE, STAR4):
-        d = 1 << g.n
-        target = graph_state(g)
-        table = bell_outcome_amplitudes(g, target, target)
-        c_idx = parity_accept_indices(g)
-        accepted = np.sum(np.abs(table[c_idx, np.arange(d)]) ** 2)
-        assert abs(accepted - 1.0) < 1e-12
-
-
-def test_bell_outcome_amplitudes_rejects_wrong_dim(rng):
-    sigma = Ket(random_unit(rng, 8), (2, 2, 2))
-    with pytest.raises(ValueError, match="qubits"):
-        bell_outcome_amplitudes(PATH2, sigma, sigma)
-
 
 def test_apply_omega_matches_dense(rng):
     for g in (PATH2, TRIANGLE, STAR4):
@@ -247,12 +211,22 @@ def test_frobenius_certificate_bounds_dense_compressions_off_target(rng):
 
 def test_frobenius_certificate_does_not_depend_on_the_block_height(monkeypatch, rng):
     # Small graphs fit one block; shrink the blocks to 1, 3 and 6 rows of 16,
-    # the last one ragged, so every block boundary is crossed.
+    # the last one ragged, so every block boundary is crossed. Every consumer
+    # of the accept-ket row blocks is checked at each height.
     psi = random_unit(rng, 16)
+    sigma, sigma_p = (Ket(random_unit(rng, 16), (2,) * 4) for _ in range(2))
+    vec = random_unit(rng, 256)
     one_block = _frobenius_certificate(STAR4, psi)
+    gs = omega_graph(STAR4, matrix_free=False)
+    omega = gs.strategy.omega.entries
+    pass_one_block = graph_pass_probability(gs, sigma, sigma_p)
     for entries in (16, 48, 100):
         monkeypatch.setattr(graph_strategy, "_BLOCK_ENTRIES", entries)
         assert abs(_frobenius_certificate(STAR4, psi) - one_block) < 1e-12
+        assert np.array_equal(omega_graph(STAR4, matrix_free=False).strategy.omega.entries, omega)
+        assert np.max(np.abs(apply_omega(gs, vec) - omega @ vec)) < 1e-12
+        got = graph_pass_probability(gs, sigma, sigma_p)
+        assert max(abs(x - y) for x, y in zip(got, pass_one_block)) < 1e-12
 
 
 def test_graph_state_rows_of_r_prime_are_psi_b_psi():
@@ -323,11 +297,11 @@ def test_graph_pass_probability_exact_matches_analytic(rng):
 
 
 def test_graph_pass_probability_true_state_passes():
-    gs = omega_graph(TRIANGLE, matrix_free=False)
-    target = graph_state(TRIANGLE)
-    exact, analytic = graph_pass_probability(gs, target, target)
-    assert abs(exact - 1.0) < 1e-12
-    assert abs(analytic - 1.0) < 1e-12
+    for g in (PATH2, TRIANGLE, STAR4):
+        target = graph_state(g)
+        exact, analytic = graph_pass_probability(omega_graph(g, matrix_free=False), target, target)
+        assert abs(exact - 1.0) < 1e-12
+        assert abs(analytic - 1.0) < 1e-12
 
 
 def test_graph_pass_probability_epsilon_pair_lower_bound():

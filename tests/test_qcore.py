@@ -12,9 +12,9 @@ from qsvkit.qcore import (
     Ket,
     Operator,
     bell_ket,
-    hadamard,
     max_eigenvalue_matfree,
     orthonormal_complement,
+    walsh_signs,
 )
 
 
@@ -107,18 +107,11 @@ def test_hadamard_conjugation_swaps_x_and_z():
 
 
 def test_hadamard_matrix_entries_are_popcount_signs():
+    # The Walsh signs over all index pairs form the unnormalized Hadamard matrix S, with S S = d I.
     for n in range(9):
         d = 1 << n
         idx = np.arange(d)
         popcount = np.array([[bin(i & j).count("1") for j in idx] for i in idx])
-        assert np.array_equal(hadamard(d), (-1.0) ** popcount)
-
-
-def test_hadamard_matrix_is_cached_read_only_and_validated():
-    h = hadamard(8)
-    assert hadamard(8) is h
-    assert not h.flags.writeable
-    assert np.array_equal(h @ h, 8.0 * np.eye(8))
-    for bad in (0, 3, 12):
-        with pytest.raises(ValueError, match="power of two"):
-            hadamard(bad)
+        signs = walsh_signs(idx[:, None], idx[None, :])
+        assert np.array_equal(signs, (-1.0) ** popcount)
+        assert np.array_equal(signs @ signs, d * np.eye(d))
