@@ -128,6 +128,21 @@ def test_dense_verification_past_n3_never_builds_the_operator():
 # Matrix-free application
 # ---------------------------------------------------------------------
 
+def test_bell_outcome_amplitudes_true_state_mass_on_accepted_set():
+    # The Bell outcome amplitudes on the accepted set are the overlaps
+    # <K_b|G (x) G>, with K_b assembled from the accept-ket row blocks.
+    for g in (PATH2, TRIANGLE, STAR4):
+        d = 1 << g.n
+        target = graph_state(g).amplitudes
+        pair = np.kron(target, target)
+        accepted = 0.0
+        for b, signs, flips in graph_strategy._accept_rows(g):
+            kets = np.zeros((b.shape[0], d * d))
+            np.put_along_axis(kets, np.arange(d) * d + flips, signs / np.sqrt(d), axis=1)
+            accepted += float(np.sum(np.abs(kets @ pair) ** 2))
+        assert abs(accepted - 1.0) < 1e-12
+
+
 def test_apply_omega_matches_dense(rng):
     for g in (PATH2, TRIANGLE, STAR4):
         gs = omega_graph(g, matrix_free=False)

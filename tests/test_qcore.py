@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_unit
+from qsvkit.graphs import _hadamard_layer
 from qsvkit.qcore import (
     DENSE_DIM_CAP,
     HADAMARD,
@@ -107,11 +108,24 @@ def test_hadamard_conjugation_swaps_x_and_z():
 
 
 def test_hadamard_matrix_entries_are_popcount_signs():
-    # The Walsh signs over all index pairs form the unnormalized Hadamard matrix S, with S S = d I.
     for n in range(9):
         d = 1 << n
         idx = np.arange(d)
         popcount = np.array([[bin(i & j).count("1") for j in idx] for i in idx])
+        assert np.array_equal(walsh_signs(idx[:, None], idx[None, :]), (-1.0) ** popcount)
+
+
+def test_hadamard_matrix_is_cached_read_only_and_validated():
+    # No Hadamard matrix is cached any more: the graph-side layer is rebuilt
+    # from the Walsh sign rule on each call, so there is no shared copy to
+    # keep read-only and no order to validate. What stays is S S = d I, and
+    # the layer being H on every qubit.
+    for n in range(9):
+        d = 1 << n
+        idx = np.arange(d)
         signs = walsh_signs(idx[:, None], idx[None, :])
-        assert np.array_equal(signs, (-1.0) ** popcount)
         assert np.array_equal(signs @ signs, d * np.eye(d))
+    layer = np.ones((1, 1))
+    for n in range(6):
+        assert np.max(np.abs(_hadamard_layer(n) - layer)) < 1e-15
+        layer = np.kron(layer, HADAMARD)
