@@ -27,7 +27,7 @@ from .ghz import GhzSpec, n_de_k
 from .graph_strategy import fidelity_from_passrate, omega_graph, verify_graph_optimality
 from .graphs import graph_state, load_graph
 from .montecarlo import TrialConfig, simulate_protocol, source_fidelity
-from .qcore import Ket, orthonormal_complement
+from .qcore import Ket, first_complement_vector
 from .strategy import (
     TwoCopyAnalysis,
     analysis_from_scalars,
@@ -340,7 +340,7 @@ def cmd_simulate(config: RunConfig) -> int:
     if config.epsilon is None:
         source: Ket | list = target
     else:
-        perp = Ket(orthonormal_complement(target)[:, 0], target.dims)
+        perp = Ket(first_complement_vector(target), target.dims)
         source = [(1.0 - config.epsilon, target), (config.epsilon, perp)]
     cfg = TrialConfig(config.trials, config.seed, source)
     passes, p_emp, stderr = simulate_protocol(subject, cfg)

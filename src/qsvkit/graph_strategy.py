@@ -218,7 +218,7 @@ def verify_graph_optimality(gs: GraphStrategy, tol: float = 1e-9) -> GraphOptima
     frob = _frobenius_certificate(g, graph_state(g).amplitudes)
     if g.n <= 3 and gs.strategy is not None:
         route = "dense"
-        ana = two_copy_analysis(gs.strategy, tol=1e-10)
+        ana = two_copy_analysis(gs.strategy)
         lam, gam, xi = ana.lambda_star, ana.gamma_star, ana.xi_star
     else:
         route = "matrix_free"

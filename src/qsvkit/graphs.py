@@ -163,7 +163,7 @@ def disentangle_operators(g: Graph, a: GraphCode) -> tuple[Operator, Operator, O
       onto O_i', then Hadamard on each O_i.
     - L acts on the n-qubit O register: the edge product of
       (-1)^(a_m a_n) X_m^(a_n) X_n^(a_m), which equals the parity-code X layer
-      X^(c(a)) times a global sign.
+      X^(c(a)) times the edge sign of a.
     - B acts on the O register: CZ on every edge, then a Hadamard layer. It
       maps the graph state to |0...0>.
     - Q acts on the O register: Z_i^(a_i) on every vertex.
@@ -172,48 +172,33 @@ def disentangle_operators(g: Graph, a: GraphCode) -> tuple[Operator, Operator, O
     """
     if len(a) != g.n:
         raise ValueError(f"code length {len(a)} does not match vertex count {g.n}")
-    a_op, b_op = _code_free_gates(g)
-    l_op, q_op = _code_gates(g, a)
-    return a_op, l_op, b_op, q_op
+    d = _two_register_dim(g.n)
+    x = np.arange(d, dtype=np.int64)
+    h = _hadamard_layer(g.n)
+    e = _edge_signs(g)
+    code = a.index()
+
+    # A: permutation |i, j> -> |i, j xor i> followed by Hadamards on O, so
+    # column i*d + j of A is column i*d + (j xor i) of H (x) I.
+    a_op = np.kron(h, np.eye(d))[:, (x[:, None] * d + (x[None, :] ^ x[:, None])).ravel()]
+    l_op = np.zeros((d, d))
+    l_op[x ^ parity_accept_indices(g)[code], x] = e[code]
+    return (
+        Operator(a_op, (2,) * (2 * g.n)),
+        Operator(l_op, (2,) * g.n, hermitian=True),
+        Operator(h * e[None, :], (2,) * g.n),
+        Operator(np.diag(walsh_signs(code, x)), (2,) * g.n, hermitian=True),
+    )
 
 
-def _code_free_gates(g: Graph) -> tuple[Operator, Operator]:
-    """Gates A and B of disentangle_operators, which do not depend on the code."""
-    n = g.n
+def _two_register_dim(n: int) -> int:
+    """Register dimension 2^n, refused when the two-register side 4^n passes the cap."""
     d = 1 << n
     if d * d > DENSE_DIM_CAP:
         raise ValueError(
             f"dense two-register operator side {d * d} exceeds cap {DENSE_DIM_CAP}"
         )
-
-    # A: permutation |i, j> -> |i, j xor i> followed by Hadamards on O, so
-    # column i*d + j of A is column i*d + (j xor i) of H (x) I.
-    rows = np.arange(d, dtype=np.int64)
-    dst = (rows[:, None] * d + (rows[None, :] ^ rows[:, None])).ravel()
-    a_op = np.kron(_hadamard_layer(n), np.eye(d))[:, dst]
-
-    # B: Hadamard layer after the CZ layer.
-    b_op = _hadamard_layer(n) * _edge_signs(g)[None, :]
-    return Operator(a_op, (2,) * (2 * n)), Operator(b_op, (2,) * n)
-
-
-def _code_gates(g: Graph, a: GraphCode) -> tuple[Operator, Operator]:
-    """Gates L and Q of disentangle_operators for the code a."""
-    n = g.n
-    d = 1 << n
-    rows = np.arange(d, dtype=np.int64)
-
-    # L: global sign times X^(c(a)).
-    abits = np.array(a.bits, dtype=np.int64)
-    sign = 1.0 if sum(abits[u - 1] * abits[v - 1] for u, v in g.edges) % 2 == 0 else -1.0
-    flip = parity_code(g, a).index()
-    l_op = np.zeros((d, d), dtype=complex)
-    l_op[rows ^ flip, rows] = sign
-
-    # Q: diagonal Z^a.
-    q_diag = np.where((_bit_table(n) @ abits) % 2 == 0, 1.0, -1.0)
-    q_op = np.diag(q_diag.astype(complex))
-    return Operator(l_op, (2,) * n, hermitian=True), Operator(q_op, (2,) * n, hermitian=True)
+    return d
 
 
 def interleaved_permutation(n: int) -> np.ndarray:
@@ -268,29 +253,28 @@ def check_disentangled_equations(g: Graph, omega: Ket, tol: float = 1e-10) -> Di
     For each a, the O'-register projection <a| A (|omega> (x) |G>) must equal
     2^(-n/2) L B |omega>, and <a| A (|G> (x) |omega>) must equal
     2^(-n/2) L Q B |omega>, up to global phase. Returns the worst deviation
-    over all 2^n codes and both identities. A, B and their products with the
-    inputs do not depend on a and are computed once; each code applies only
-    its own L and Q.
+    over all 2^n codes and both identities. All codes are checked at once on
+    (2^n, 2^n) arrays, column a for code a, each gate applied by its index
+    rule: A is an xor gather then the Hadamard layer, L is the edge sign of a
+    times the shift y -> y xor c(a), and Q is the Walsh sign of a.
     """
     n = g.n
-    d = 1 << n
-    if omega.dim != d:
+    if omega.dim != 1 << n:
         raise ValueError(f"work ket dimension {omega.dim} does not match {n} qubits")
-    gket = graph_state(g)
-    a_op, b_op = _code_free_gates(g)
-    # Column a of each (d, d) block is the O'-register projection onto <a|.
-    fwd_all = (a_op.entries @ np.kron(omega.amplitudes, gket.amplitudes)).reshape(d, d)
-    inv_all = (a_op.entries @ np.kron(gket.amplitudes, omega.amplitudes)).reshape(d, d)
-    b_omega = b_op.entries @ omega.amplitudes / np.sqrt(d)
-    fwd_max = 0.0
-    inv_max = 0.0
-    for code_idx in range(d):
-        a = GraphCode(format(code_idx, f"0{n}b"))
-        l_op, q_op = _code_gates(g, a)
-        fwd_rhs = l_op.entries @ b_omega
-        fwd_max = max(fwd_max, phase_aligned_deviation(fwd_all[:, code_idx], fwd_rhs))
-        inv_rhs = l_op.entries @ (q_op.entries @ b_omega)
-        inv_max = max(inv_max, phase_aligned_deviation(inv_all[:, code_idx], inv_rhs))
+    d = _two_register_dim(n)
+    x = np.arange(d, dtype=np.int64)[:, None]
+    h = _hadamard_layer(n)
+    e = _edge_signs(g)
+    c = parity_accept_indices(g)
+    w = omega.amplitudes
+    gket = graph_state(g).amplitudes
+    fwd_lhs = h @ (w[:, None] * gket[x ^ x.T])
+    inv_lhs = h @ (gket[:, None] * w[x ^ x.T])
+    shifted = x ^ c[None, :]
+    fwd_rhs = e[None, :] * (h @ (e * w) / np.sqrt(d))[shifted]
+    inv_rhs = fwd_rhs * walsh_signs(x.T, shifted)
+    fwd_max = max(phase_aligned_deviation(fwd_lhs[:, a], fwd_rhs[:, a]) for a in range(d))
+    inv_max = max(phase_aligned_deviation(inv_lhs[:, a], inv_rhs[:, a]) for a in range(d))
     worst = max(fwd_max, inv_max)
     return DisentangleReport(worst, fwd_max, inv_max, worst <= tol, tol)
 

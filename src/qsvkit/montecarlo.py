@@ -51,6 +51,10 @@ from .qcore import Ket, orthonormal_complement
 from .strategy import Strategy, two_copy_analysis
 
 _ORACLE_SEED = 20240502
+_ORACLE_GRID_POINTS = 9
+_ORACLE_STARTS = 8
+_ORACLE_TOL = 1e-10
+_ORACLE_MAX_ITERS = 500
 
 # Trials per block of streamed words (32 B each).
 _CHUNK_TRIALS = 1 << 16
@@ -370,20 +374,17 @@ def worst_case_oracle(
     s: Strategy,
     epsilon: float,
     probe_bound: float = 0.5,
-    grid_points: int = 9,
-    starts: int = 8,
-    tol: float = 1e-10,
-    max_iters: int = 500,
 ) -> WorstCaseReport:
     """Maximize the two-copy pass probability over independent pure fakes.
 
     Each copy is sqrt(1 - e) psi + sqrt(e) perp with its own infidelity e in
     [epsilon, probe_bound] and its own orthogonal component. The infidelity
-    pair is swept over a geometric grid (with the (epsilon, epsilon) corner
-    always included); for each pair, alternating exact sphere maximizations
-    run until the objective changes by less than tol or the iteration cap is
-    hit, from `starts` deterministic random starts. Ties resolve to the
-    earliest run, so the result is reproducible.
+    pair is swept over a geometric grid of _ORACLE_GRID_POINTS values per
+    side (with the (epsilon, epsilon) corner always included); for each pair,
+    alternating exact sphere maximizations run until the objective changes by
+    less than _ORACLE_TOL or _ORACLE_MAX_ITERS sweeps pass, from _ORACLE_STARTS
+    deterministic random starts. Ties resolve to the earliest run, so the
+    result is reproducible.
     """
     if s.copies != 2:
         raise ValueError(f"oracle needs a two-copy strategy, got copies = {s.copies}")
@@ -405,19 +406,17 @@ def worst_case_oracle(
     hi = min(probe_bound, 0.5)
     if not epsilon < hi:
         raise ValueError(f"epsilon = {epsilon} is not below the probe bound {hi}")
-    grid = np.geomspace(epsilon, hi, grid_points)
+    grid = np.geomspace(epsilon, hi, _ORACLE_GRID_POINTS)
     pairs = [(epsilon, epsilon)] + [(a, b) for a in grid for b in grid]
 
     rng = np.random.Generator(np.random.Philox(key=_ORACLE_SEED))
-    x_starts = _random_units(rng, starts, width)
-    y_starts = _random_units(rng, starts, width)
+    x_starts = _random_units(rng, _ORACLE_STARTS, width)
+    y_starts = _random_units(rng, _ORACLE_STARTS, width)
 
     best = (-1.0, None)
     for a, b in pairs:
-        for st in range(starts):
-            value, x, y, iters, conv = _alternate(
-                omega4, psi, comp, a, b, x_starts[st], y_starts[st], tol, max_iters
-            )
+        for x0, y0 in zip(x_starts, y_starts):
+            value, x, y, iters, conv = _alternate(omega4, psi, comp, a, b, x0, y0)
             if value > best[0]:
                 best = (value, (a, b, x, y, iters, conv))
 
@@ -438,10 +437,10 @@ def _random_units(rng: np.random.Generator, count: int, width: int) -> np.ndarra
     return block / np.linalg.norm(block, axis=1, keepdims=True)
 
 
-def _alternate(omega4, psi, comp, a, b, x0, y0, tol, max_iters):
+def _alternate(omega4, psi, comp, a, b, x0, y0):
     x, y = x0, y0
     previous = -np.inf
-    for sweep in range(1, max_iters + 1):
+    for sweep in range(1, _ORACLE_MAX_ITERS + 1):
         sigma_p = math.sqrt(1.0 - b) * psi + math.sqrt(b) * (comp @ y)
         m_first = np.einsum("j,ijkl,l->ik", sigma_p.conj(), omega4, sigma_p)
         x = _sphere_max(a, comp.conj().T @ m_first @ comp, comp.conj().T @ (m_first @ psi))
@@ -452,10 +451,10 @@ def _alternate(omega4, psi, comp, a, b, x0, y0, tol, max_iters):
 
         sigma_p = math.sqrt(1.0 - b) * psi + math.sqrt(b) * (comp @ y)
         value = float(np.real(sigma_p.conj() @ (m_second @ sigma_p)))
-        if abs(value - previous) < tol:
+        if abs(value - previous) < _ORACLE_TOL:
             return value, x, y, sweep, True
         previous = value
-    return previous, x, y, max_iters, False
+    return previous, x, y, _ORACLE_MAX_ITERS, False
 
 
 def _sphere_max(mix: float, quad: np.ndarray, cross: np.ndarray) -> np.ndarray:

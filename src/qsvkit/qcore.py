@@ -196,12 +196,25 @@ def orthonormal_complement(psi: Ket | np.ndarray) -> np.ndarray:
     psi. The construction is deterministic (QR of [psi | identity columns]),
     so repeated calls agree exactly.
     """
+    return _complement_columns(psi, None)
+
+
+def first_complement_vector(psi: Ket | np.ndarray) -> np.ndarray:
+    """Column 0 of orthonormal_complement(psi), bit for bit, in O(D) memory.
+
+    That column depends only on the first two Householder reflectors, so the
+    QR of [psi | e0] alone reproduces it.
+    """
+    return _complement_columns(psi, 1)[:, 0]
+
+
+def _complement_columns(psi: Ket | np.ndarray, count: int | None) -> np.ndarray:
+    """Columns 1..count (all D - 1 for None) of Q in the QR of [psi | identity columns]."""
     vec = psi.amplitudes if isinstance(psi, Ket) else np.asarray(psi, dtype=complex).reshape(-1)
-    d = vec.size
     norm = float(np.linalg.norm(vec))
     if abs(norm - 1.0) > 1e-10:
         raise ValueError(f"complement basis needs a unit vector, |norm - 1| = {abs(norm - 1.0):.3e}")
-    stack = np.concatenate([vec[:, None], np.eye(d, d - 1, dtype=complex)], axis=1)
+    width = vec.size - 1 if count is None else count
+    stack = np.concatenate([vec[:, None], np.eye(vec.size, width, dtype=complex)], axis=1)
     q, _ = np.linalg.qr(stack)
     return q[:, 1:]
-

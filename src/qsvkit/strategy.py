@@ -269,7 +269,7 @@ def symmetrize_two_copy(s: Strategy) -> Strategy:
     return Strategy(Operator(avg, (d, d), hermitian=True), s.target, copies=2)
 
 
-def two_copy_analysis(s: Strategy, tol: float = STRUCT_TOL, epsilon: float | None = None) -> TwoCopyAnalysis:
+def two_copy_analysis(s: Strategy, epsilon: float | None = None) -> TwoCopyAnalysis:
     """Compress a swap-symmetric two-copy strategy to its governing scalars.
 
     lambda_star is the top eigenvalue of twice the symmetric-subspace
@@ -281,15 +281,15 @@ def two_copy_analysis(s: Strategy, tol: float = STRUCT_TOL, epsilon: float | Non
     eps_max follows the fixed regime thresholds: bounded-case formula when
     gamma_star >= 10 sqrt(epsilon), unbounded when gamma_star <= 0.1
     sqrt(epsilon), both-with-flag in between. Without an epsilon the regime
-    is decided only in the clean gamma_star <= tol case (unbounded).
+    is decided only in the clean gamma_star <= STRUCT_TOL case (unbounded).
     """
     if s.copies != 2:
         raise ValueError(f"two-copy analysis needs copies = 2, got {s.copies}")
     d = s.target.dim
     om = s.omega.entries
     asym = float(np.max(np.abs(om - _swap_conjugate(om, d))))
-    if asym > tol:
-        raise ValueError(f"operator is not swap symmetric: deviation {asym:.3e} > {tol:.1e}")
+    if asym > STRUCT_TOL:
+        raise ValueError(f"operator is not swap symmetric: deviation {asym:.3e} > {STRUCT_TOL:.1e}")
 
     comp = orthonormal_complement(s.target)
     width = comp.shape[1]
@@ -303,36 +303,36 @@ def two_copy_analysis(s: Strategy, tol: float = STRUCT_TOL, epsilon: float | Non
         lam_mat = 2.0 * ps_w.conj().T @ om_ps_w
         gam_mat = w_iso.conj().T @ _swap_columns(om_w, d)
         xi_mat = gam_mat / 2.0 + w_iso.conj().T @ om_w
-        lam = _top_of_restricted("lambda_star", lam_mat, tol)
-        gam = _top_of_restricted("gamma_star", gam_mat, tol)
-        xi = _top_of_restricted("xi_star", xi_mat, tol)
+        lam = _top_of_restricted("lambda_star", lam_mat)
+        gam = _top_of_restricted("gamma_star", gam_mat)
+        xi = _top_of_restricted("xi_star", xi_mat)
 
     if lam >= 1.0:
         raise ValueError(f"lambda_star = {lam} >= 1; two-copy analysis does not apply")
-    return analysis_from_scalars(lam, gam, xi, epsilon, tol)
+    return analysis_from_scalars(lam, gam, xi, epsilon)
 
 
 def analysis_from_scalars(
-    lam: float, gam: float, xi: float, epsilon: float | None = None, tol: float = STRUCT_TOL
+    lam: float, gam: float, xi: float, epsilon: float | None = None
 ) -> TwoCopyAnalysis:
     """Two-copy analysis record for given scalars of a swap-symmetric strategy.
 
     Adds the local-maximum check xi + gamma/2 < 1 and the insurance ceiling.
     """
-    eps_max, ambiguous = insurance_ceiling(gam, xi, epsilon, tol)
+    eps_max, ambiguous = insurance_ceiling(gam, xi, epsilon)
     return TwoCopyAnalysis(lam, gam, xi, eps_max, xi + gam / 2.0 < 1.0, True, ambiguous)
 
 
-def _top_of_restricted(name: str, mat: np.ndarray, tol: float) -> float:
+def _top_of_restricted(name: str, mat: np.ndarray) -> float:
     herm_dev = float(np.max(np.abs(mat - mat.conj().T)))
-    if herm_dev > max(10.0 * tol, 1e-9):
+    if herm_dev > max(10.0 * STRUCT_TOL, 1e-9):
         raise ValueError(f"restricted operator for {name} is not Hermitian: deviation {herm_dev:.3e}")
     top = float(np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)[-1])
     return max(top, 0.0)
 
 
 def insurance_ceiling(
-    gamma: float, xi: float, epsilon: float | None = None, tol: float = STRUCT_TOL
+    gamma: float, xi: float, epsilon: float | None = None
 ) -> tuple[float | None, bool]:
     """Infidelity ceiling under which the two-copy pass bound holds, with regime flag.
 
@@ -340,10 +340,10 @@ def insurance_ceiling(
     the ceiling is unbounded (inf); gamma at or above 10 sqrt(epsilon) means
     the bounded-case formula applies cleanly; in between the bounded value is
     returned with the ambiguity flag set. Without an epsilon only the clean
-    gamma <= tol case is decided.
+    gamma <= STRUCT_TOL case is decided.
     """
     if epsilon is None:
-        if gamma <= tol:
+        if gamma <= STRUCT_TOL:
             return UNBOUNDED, False
         return None, True
     if not 0.0 < epsilon < 1.0:

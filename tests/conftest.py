@@ -1,4 +1,6 @@
-"""Shared fixtures: a deterministic generator and small state factories."""
+"""Shared fixtures: a deterministic generator, small state factories, a memory probe."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,3 +15,13 @@ def random_unit(rng, dim: int) -> np.ndarray:
     """A Haar-ish random unit vector with complex entries."""
     vec = rng.normal(size=dim) + 1.0j * rng.normal(size=dim)
     return vec / np.linalg.norm(vec)
+
+
+def traced_peak_mib(run) -> float:
+    """Peak Python-heap allocation, in MiB, while ``run()`` executes."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()

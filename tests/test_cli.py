@@ -407,3 +407,10 @@ def test_simulate_graph_at_the_cap_fits_in_3gb(tmp_path):
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report["passes"] == 1000 and report["F_true"] == 1.0
+
+
+def test_simulate_graph_with_epsilon_at_the_cap_fits_in_3gb(tmp_path):
+    proc = run_ring13_in_3gb(tmp_path, "simulate", "--epsilon", "0.01", "--trials", "1")
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["trials"] == 1 and abs(report["F_true"] - 0.99) < 1e-12

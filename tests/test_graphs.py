@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_unit
+from conftest import random_unit, traced_peak_mib
+from graphgen import connected_graphs
 from qsvkit import graphs
 from qsvkit.graphs import (
     Graph,
@@ -21,7 +22,7 @@ from qsvkit.graphs import (
     parse_graph,
     phase_aligned_deviation,
 )
-from qsvkit.qcore import HADAMARD, Ket, Operator, PAULI_X, PAULI_Z, bell_ket
+from qsvkit.qcore import HADAMARD, Ket, PAULI_X, PAULI_Z, bell_ket
 
 
 PATH2 = Graph(2, [(1, 2)])
@@ -190,22 +191,55 @@ def test_check_disentangled_equations_small_graphs(rng):
 
 def test_check_disentangled_equations_checks_every_code(rng, monkeypatch):
     # A wrong L (one flip bit toggled) on any single code must fail the check.
-    original = graphs._code_gates
+    original = graphs.parity_accept_indices
     for g in (PATH2, TRIANGLE):
         d = 1 << g.n
         omega = Ket(random_unit(rng, d), (2,) * g.n)
         for wrong in range(d):
 
-            def gates(graph, a, wrong=wrong):
-                l_op, q_op = original(graph, a)
-                if a.index() == wrong:
-                    l_op = Operator(l_op.entries[np.arange(d) ^ 1], l_op.dims, hermitian=True)
-                return l_op, q_op
+            def flips(graph, wrong=wrong):
+                c = original(graph)
+                c[wrong] ^= 1
+                return c
 
-            monkeypatch.setattr(graphs, "_code_gates", gates)
+            monkeypatch.setattr(graphs, "parity_accept_indices", flips)
             assert not check_disentangled_equations(g, omega).passed
-        monkeypatch.setattr(graphs, "_code_gates", original)
+        monkeypatch.setattr(graphs, "parity_accept_indices", original)
         assert check_disentangled_equations(g, omega).passed
+
+
+def test_dense_disentangling_gates_satisfy_both_identities(rng):
+    # The identities in dense form: column a of A (omega (x) G), reshaped with
+    # O' as the column index, is L B omega / sqrt(d), and swapping the inputs
+    # inserts Q before B.
+    for n in range(1, 4):
+        d = 1 << n
+        for g in connected_graphs(n):
+            omega = random_unit(rng, d)
+            gket = graph_state(g).amplitudes
+            for code in range(d):
+                a_op, l_op, b_op, q_op = disentangle_operators(g, GraphCode(format(code, f"0{n}b")))
+                fwd = (a_op.entries @ np.kron(omega, gket)).reshape(d, d)[:, code]
+                inv = (a_op.entries @ np.kron(gket, omega)).reshape(d, d)[:, code]
+                b_omega = b_op.entries @ omega / np.sqrt(d)
+                assert phase_aligned_deviation(fwd, l_op.entries @ b_omega) < 1e-12
+                inv_rhs = l_op.entries @ q_op.entries @ b_omega
+                assert phase_aligned_deviation(inv, inv_rhs) < 1e-12
+
+
+def test_check_disentangled_equations_memory_stays_small(rng):
+    ring6 = Graph(6, [(i, i % 6 + 1) for i in range(1, 7)])
+    omega = Ket(random_unit(rng, 64), (2,) * 6)
+    assert traced_peak_mib(lambda: check_disentangled_equations(ring6, omega)) < 4.0
+
+
+def test_disentangling_gates_refuse_seven_vertices(rng):
+    ring7 = Graph(7, [(i, i % 7 + 1) for i in range(1, 8)])
+    message = "dense two-register operator side 16384 exceeds cap 8192"
+    with pytest.raises(ValueError, match=message):
+        check_disentangled_equations(ring7, Ket(random_unit(rng, 128), (2,) * 7))
+    with pytest.raises(ValueError, match=message):
+        disentangle_operators(ring7, GraphCode("0" * 7))
 
 
 def test_check_disentangled_equations_rejects_dim_mismatch(rng):

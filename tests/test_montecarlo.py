@@ -1,12 +1,11 @@
 """Monte Carlo protocol sampling and the independent worst-case search."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import random_unit
+from conftest import random_unit, traced_peak_mib
 from qsvkit import montecarlo
 from qsvkit.ghz import mub_strategy_d4
 from qsvkit.graph_strategy import graph_pass_probability, omega_graph
@@ -432,15 +431,6 @@ def test_pass_counts_do_not_depend_on_the_chunk_size(monkeypatch, chunk):
     default = chunk_invariance_runs()
     monkeypatch.setattr(montecarlo, "_CHUNK_TRIALS", chunk)
     assert chunk_invariance_runs() == default
-
-
-def traced_peak_mib(run) -> float:
-    tracemalloc.start()
-    try:
-        run()
-        return tracemalloc.get_traced_memory()[1] / 2**20
-    finally:
-        tracemalloc.stop()
 
 
 def test_sampling_memory_does_not_grow_with_the_trial_count():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import random_unit
-from qsvkit.graphs import _hadamard_layer
+from qsvkit.ghz import mub_strategy_d4
+from qsvkit.graphs import Graph, _hadamard_layer, graph_state
 from qsvkit.qcore import (
     DENSE_DIM_CAP,
     HADAMARD,
@@ -13,10 +14,12 @@ from qsvkit.qcore import (
     Ket,
     Operator,
     bell_ket,
+    first_complement_vector,
     max_eigenvalue_matfree,
     orthonormal_complement,
     walsh_signs,
 )
+from qsvkit.strategy import reference_bell_artifacts
 
 
 # ---------------------------------------------------------------------
@@ -101,6 +104,18 @@ def test_orthonormal_complement_properties(rng):
     assert np.array_equal(comp, again)
     with pytest.raises(ValueError, match="unit"):
         orthonormal_complement(2.0 * psi.amplitudes)
+
+
+def test_first_complement_vector_is_column_zero_bit_for_bit():
+    targets = [reference_bell_artifacts()[0].target]
+    targets += [mub_strategy_d4(theta).target for theta in (0.1, 0.3, 0.7)]
+    for n in range(1, 11):
+        edges = [(i, i + 1) for i in range(1, n)] + ([(1, n)] if n > 2 else [])
+        targets.append(graph_state(Graph(n, edges)))
+    for target in targets:
+        assert np.array_equal(first_complement_vector(target), orthonormal_complement(target)[:, 0])
+    with pytest.raises(ValueError, match="unit"):
+        first_complement_vector(2.0 * targets[0].amplitudes)
 
 
 def test_hadamard_conjugation_swaps_x_and_z():
