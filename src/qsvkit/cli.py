@@ -42,6 +42,9 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_PRECONDITION = 3
 
+# Largest theta-grid step count; the fig4 table has one row per step.
+MAX_THETA_STEPS = 100_000
+
 FIG3_COLUMNS = ["epsilon", "N_graph", "N_PLM", "N_glob"]
 FIG4_COLUMNS = ["theta", "N_de_1", "N_de_2", "N_de_3", "N_de_4", "N_glob"]
 FIG4_NOTE = (
@@ -82,6 +85,8 @@ class RunConfig:
             start, stop, steps = self.theta_grid
             if steps < 2:
                 raise ValueError(f"theta grid needs at least 2 steps: {steps}")
+            if steps > MAX_THETA_STEPS:
+                raise ValueError(f"theta grid needs at most {MAX_THETA_STEPS} steps: {steps}")
             if not 0.0 < start <= stop <= math.pi / 4.0:
                 raise ValueError(
                     f"theta grid [{start}, {stop}] outside the open-to-closed (0, pi/4]"

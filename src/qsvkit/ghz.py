@@ -14,21 +14,19 @@ accepts exactly the matching reduced state. Both parties initiate with equal
 probability; the resulting operator fixes the target and has second-largest
 eigenvalue cos^2(theta) / (2 + cos^2(theta)).
 
-Sorted tensor-power coefficients grow as d^k, so tensor_power_spec refuses
-to materialize past the dense cap; n_de_k instead evaluates the top-two
-coefficients of the power spec in closed form (s0^k and s0^(k-1) s1), which
-is exact for any k.
+The sorted coefficients of k regrouped copies are all k-fold products of
+the s_j, d^k of them; n_de_k never lists them and evaluates the top two in
+closed form (s0^k and s0^(k-1) s1), which is exact for any k.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .qcore import DENSE_DIM_CAP, Ket, Operator
+from .qcore import Ket, Operator
 from .strategy import ComplexityReport, Strategy
 
 # =====================================================================
@@ -63,27 +61,8 @@ class GhzSpec:
             raise ValueError(f"coefficient square-sum {total} is not 1")
 
 
-@dataclass
-class MubBasis:
-    """One of the five mutually unbiased bases of the two-qubit space."""
-
-    label: int
-    vectors: list[Ket]
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.label <= 4:
-            raise ValueError(f"basis label {self.label} outside 0..4")
-        if len(self.vectors) != 4:
-            raise ValueError(f"basis needs 4 vectors, got {len(self.vectors)}")
-        gram = np.array(
-            [[v.amplitudes.conj() @ w.amplitudes for w in self.vectors] for v in self.vectors]
-        )
-        dev = float(np.max(np.abs(gram - np.eye(4))))
-        if dev > 1e-12:
-            raise ValueError(f"basis {self.label} not orthonormal: deviation {dev:.3e}")
-
-
-# Basis tables: rows are basis vectors over |00>, |01>, |10>, |11>.
+# The five mutually unbiased bases of the two-qubit space, one table each:
+# rows are basis vectors over |00>, |01>, |10>, |11>.
 _MUB_TABLES: list[np.ndarray] = [
     np.eye(4, dtype=complex),
     np.array(
@@ -108,16 +87,8 @@ _MUB_TABLES: list[np.ndarray] = [
 ]
 
 
-def mub_bases() -> list[MubBasis]:
-    """The five mutually unbiased bases used by the d = 4 strategy."""
-    return [
-        MubBasis(label, [Ket(row, (2, 2)) for row in table])
-        for label, table in enumerate(_MUB_TABLES)
-    ]
-
-
 # =====================================================================
-# States and tensor powers
+# States
 # =====================================================================
 
 
@@ -129,23 +100,6 @@ def ghz_ket(spec: GhzSpec) -> Ket:
     for j in range(spec.d):
         amps[j * stride] = spec.coeffs[j]
     return Ket(amps, (spec.d,) * spec.n)
-
-
-def tensor_power_spec(spec: GhzSpec, k: int) -> GhzSpec:
-    """Coefficient spec of k regrouped copies: all k-fold products, sorted.
-
-    The state of the result equals the k-fold tensor power of the input
-    state after regrouping each party's k qudits into one d^k qudit.
-    """
-    if k < 1:
-        raise ValueError(f"power must be at least 1: {k}")
-    size = spec.d**k
-    if size > DENSE_DIM_CAP:
-        raise ValueError(f"tensor power dimension {size} exceeds cap {DENSE_DIM_CAP}")
-    prods = np.array([1.0])
-    for _ in range(k):
-        prods = np.kron(prods, spec.coeffs)
-    return GhzSpec(spec.n, size, np.sort(prods)[::-1])
 
 
 def lambda2_lhz(spec: GhzSpec) -> float:

@@ -8,11 +8,10 @@ flip-bit string realizes exactly this operator.
 
 Layout: operators and kets over the doubled space use block register order
 (O register then O' register), so the accept operator for b is the rank-1
-projector onto 2^(-n/2) sum_u (-1)^(c(b).u) |u>_O |u xor b>_O'.
-graphs.interleaved_permutation maps this order to the per-verifier pair order
-(O1, O1', O2, O2', ...), where the operator is a sum of tensor products of
-local Bell projectors; the locality test in tests/test_graph_strategy.py
-checks that.
+projector onto 2^(-n/2) sum_u (-1)^(c(b).u) |u>_O |u xor b>_O'. In the
+per-verifier pair order (O1, O1', O2, O2', ...) the operator is a sum of
+tensor products of local Bell projectors; the locality test in
+tests/test_graph_strategy.py checks that through a bit-by-bit reorder.
 
 Matrix-free path: the operator is a sum of 2^n rank-1 projectors onto
 orthonormal accept kets K_b. Entry (u, u xor b) of K_b is S[b, u] / sqrt(d)
@@ -39,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, GraphCode, graph_state, parity_accept_indices, parity_code
+from .graphs import Graph, graph_state, parity_accept_indices
 from .qcore import DENSE_DIM_CAP, Ket, Operator, walsh_signs
 from .strategy import Strategy, two_copy_analysis
 
@@ -91,10 +90,9 @@ def omega_graph(g: Graph, matrix_free: bool | None = None) -> GraphStrategy:
     """
     if matrix_free is None:
         matrix_free = g.n >= MATRIX_FREE_DEFAULT_FROM
-    d = 1 << g.n
-    if not matrix_free and d * d > DENSE_DIM_CAP:
+    if not matrix_free and 2 * g.n > DENSE_DIM_CAP.bit_length() - 1:
         raise ValueError(
-            f"dense two-copy operator side {d * d} exceeds cap {DENSE_DIM_CAP}; "
+            f"dense two-copy operator on {g.n} vertices has side 4^{g.n} > cap {DENSE_DIM_CAP}; "
             "use matrix_free=True"
         )
     return GraphStrategy(g, dense=not matrix_free)
@@ -146,22 +144,8 @@ def apply_omega(gs: GraphStrategy, vec: np.ndarray) -> np.ndarray:
 
 
 # =====================================================================
-# Protocol decision and verification
+# Verification
 # =====================================================================
-
-def decide_parity_pass(g: Graph, b: GraphCode, b_prime: GraphCode) -> bool:
-    """Accept iff the first code equals the parity code of the second.
-
-    The first argument plays the phase-outcome role and the second the
-    flip-outcome role: feeding (phase bits, flip bits) makes the decision
-    agree with the accept operator for every graph.
-    """
-    if len(b) != g.n or len(b_prime) != g.n:
-        raise ValueError(
-            f"codes of length {len(b)}, {len(b_prime)} do not match vertex count {g.n}"
-        )
-    return b.bits == parity_code(g, b_prime).bits
-
 
 @dataclass
 class GraphOptimalityReport:

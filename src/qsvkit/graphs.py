@@ -8,10 +8,10 @@ qubit followed by controlled-Z on every edge.
 
 Two-register operators act on 2n qubits in block layout: the first n tensor
 factors are the O register (first copy, vertex order), the last n the O'
-register (second copy). interleaved_permutation converts to the layout that
-orders qubits by verifier pair (O1, O1', O2, O2', ...). Within gate products
-the factor order is ascending vertex/edge index; every product used here
-commutes internally, so the order only fixes documentation.
+register (second copy), not the per-verifier pair order (O1, O1', O2, O2',
+...). Within gate products the factor order is ascending vertex/edge index;
+every product used here commutes internally, so the order only fixes
+documentation.
 
 Equality of kets is checked up to global phase (aligned on the largest
 reference amplitude), which guards against phase-convention drift between
@@ -126,14 +126,6 @@ def _hadamard_layer(n: int) -> np.ndarray:
 # =====================================================================
 
 
-def parity_code(g: Graph, b: GraphCode) -> GraphCode:
-    """Parity code of b: bit u is the mod-2 sum of b over the neighbours of u."""
-    if len(b) != g.n:
-        raise ValueError(f"code length {len(b)} does not match vertex count {g.n}")
-    out = (g.adjacency() @ np.array(b.bits, dtype=np.int64)) % 2
-    return GraphCode(out.tolist())
-
-
 def parity_accept_indices(g: Graph) -> np.ndarray:
     """For every flip-string index x, the accepted phase-string index c(x)."""
     shifts = np.arange(g.n - 1, -1, -1, dtype=np.int64)
@@ -145,12 +137,13 @@ def graph_state(g: Graph) -> Ket:
 
     The amplitude of |b> is (-1)^(sum over edges of b_u b_v) / sqrt(2^n).
     """
-    dim = 1 << g.n
-    if dim > DENSE_DIM_CAP:
+    # 2^n <= DENSE_DIM_CAP exactly when n is at most its bit length less one;
+    # comparing counts keeps a huge n from forming (and printing) 2^n.
+    if g.n > DENSE_DIM_CAP.bit_length() - 1:
         raise ValueError(
-            f"graph state on {g.n} qubits has dimension {dim} > cap {DENSE_DIM_CAP}"
+            f"graph state on {g.n} vertices has dimension 2^{g.n} > cap {DENSE_DIM_CAP}"
         )
-    amps = _edge_signs(g).astype(complex) / np.sqrt(dim)
+    amps = _edge_signs(g).astype(complex) / np.sqrt(1 << g.n)
     return Ket(amps, (2,) * g.n)
 
 
@@ -199,24 +192,6 @@ def _two_register_dim(n: int) -> int:
             f"dense two-register operator side {d * d} exceeds cap {DENSE_DIM_CAP}"
         )
     return d
-
-
-def interleaved_permutation(n: int) -> np.ndarray:
-    """Basis permutation from block (O, O') layout to verifier-pair layout.
-
-    Returns an index array perm such that v_interleaved = v_block[perm],
-    where the interleaved layout orders qubits (O1, O1', O2, O2', ...).
-    """
-    if n < 1:
-        raise ValueError(f"vertex count must be positive: {n}")
-    j = np.arange(1 << (2 * n), dtype=np.int64)
-    i = np.zeros_like(j)
-    for t in range(n):
-        o_bit = (j >> (2 * n - 1 - 2 * t)) & 1
-        op_bit = (j >> (2 * n - 2 - 2 * t)) & 1
-        i |= o_bit << (2 * n - 1 - t)
-        i |= op_bit << (n - 1 - t)
-    return i
 
 
 def phase_aligned_deviation(actual: np.ndarray, reference: np.ndarray) -> float:

@@ -55,6 +55,7 @@ _ORACLE_GRID_POINTS = 9
 _ORACLE_STARTS = 8
 _ORACLE_TOL = 1e-10
 _ORACLE_MAX_ITERS = 500
+_ORACLE_PROBE_BOUND = 0.5
 
 # Trials per block of streamed words (32 B each).
 _CHUNK_TRIALS = 1 << 16
@@ -370,15 +371,11 @@ class WorstCaseReport:
             raise ValueError(f"p_hat = {self.p_hat} outside [0, 1]")
 
 
-def worst_case_oracle(
-    s: Strategy,
-    epsilon: float,
-    probe_bound: float = 0.5,
-) -> WorstCaseReport:
+def worst_case_oracle(s: Strategy, epsilon: float) -> WorstCaseReport:
     """Maximize the two-copy pass probability over independent pure fakes.
 
     Each copy is sqrt(1 - e) psi + sqrt(e) perp with its own infidelity e in
-    [epsilon, probe_bound] and its own orthogonal component. The infidelity
+    [epsilon, _ORACLE_PROBE_BOUND] and its own orthogonal component. The infidelity
     pair is swept over a geometric grid of _ORACLE_GRID_POINTS values per
     side (with the (epsilon, epsilon) corner always included); for each pair,
     alternating exact sphere maximizations run until the objective changes by
@@ -403,10 +400,9 @@ def worst_case_oracle(
         raise ValueError("target space has no orthogonal directions to fake")
     omega4 = om.reshape(d, d, d, d)
 
-    hi = min(probe_bound, 0.5)
-    if not epsilon < hi:
-        raise ValueError(f"epsilon = {epsilon} is not below the probe bound {hi}")
-    grid = np.geomspace(epsilon, hi, _ORACLE_GRID_POINTS)
+    if not epsilon < _ORACLE_PROBE_BOUND:
+        raise ValueError(f"epsilon = {epsilon} is not below the probe bound {_ORACLE_PROBE_BOUND}")
+    grid = np.geomspace(epsilon, _ORACLE_PROBE_BOUND, _ORACLE_GRID_POINTS)
     pairs = [(epsilon, epsilon)] + [(a, b) for a in grid for b in grid]
 
     rng = np.random.Generator(np.random.Philox(key=_ORACLE_SEED))

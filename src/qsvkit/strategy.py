@@ -10,10 +10,10 @@ is orthogonal to it. From those scalars follow the local-maximum check, the
 infidelity ceiling eps_max under which the two-copy pass analysis holds, and
 sample-count estimates.
 
-The compression uses the isometry W whose columns are psi (x) v_i for an
-orthonormal basis v_i of psi-perp, so every eigenvalue problem here is of
-size D-1 regardless of the doubled space's size, and the dense operator is
-only ever applied to D-1 columns.
+The compression contracts Omega with psi once, on the first copy's input,
+and projects the result with P = I - psi psi^dag: no basis of psi-perp is
+formed, and every eigenvalue problem is D x D (one more, zero, eigenvalue
+than the D-1 of psi-perp) whatever the doubled space's size.
 
 Channels enter through the Kraus picture: a trace-preserving channel whose
 Kraus operators all map the target onto the all-zeros ket induces the
@@ -43,7 +43,6 @@ from .qcore import (
     Ket,
     Operator,
     bell_ket,
-    orthonormal_complement,
 )
 
 UNBOUNDED = float("inf")
@@ -248,35 +247,18 @@ def _swap_conjugate(entries: np.ndarray, d: int) -> np.ndarray:
     return entries.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(d * d, d * d)
 
 
-def _swap_columns(block: np.ndarray, d: int) -> np.ndarray:
-    """Apply the copy swap to every column of a (d*d, m) block."""
-    return block.reshape(d, d, -1).transpose(1, 0, 2).reshape(d * d, -1)
-
-
-def symmetrize_two_copy(s: Strategy) -> Strategy:
-    """Average a two-copy strategy with its swap conjugate.
-
-    Idempotent, preserves the target fixed point. Any decomposition is
-    dropped: swap-averaged tests are no longer projectors in general, while
-    the averaged operator itself is exact.
-    """
-    if s.copies != 2:
-        raise ValueError(f"symmetrization needs a two-copy strategy, got copies = {s.copies}")
-    d = s.target.dim
-    if s.omega.dim != d * d:
-        raise ValueError(f"operator side {s.omega.dim} is not the two-copy square {d * d}")
-    avg = (s.omega.entries + _swap_conjugate(s.omega.entries, d)) / 2.0
-    return Strategy(Operator(avg, (d, d), hermitian=True), s.target, copies=2)
-
-
 def two_copy_analysis(s: Strategy, epsilon: float | None = None) -> TwoCopyAnalysis:
     """Compress a swap-symmetric two-copy strategy to its governing scalars.
 
-    lambda_star is the top eigenvalue of twice the symmetric-subspace
-    compression of omega restricted to (target (x) target-perp); gamma_star
-    and xi_star are the matching compressions of F omega and (F/2 + I) omega.
-    All three restricted matrices must come out Hermitian (they do when
-    omega commutes with the swap, which the symmetry precondition enforces).
+    With half[i, j, l] = <i j|Omega|psi l> (Omega contracted with psi on the
+    first copy's input) and P = I - psi psi^dag, the D x D matrices
+    a = P (psi^dag on the first output) P and g = P (psi^dag on the second
+    output) P are the compressions of omega and F omega onto
+    psi (x) psi-perp. lambda_star, gamma_star and xi_star are the top
+    eigenvalues, clamped at 0, of a + g, g and a + g/2; for an omega that
+    commutes with the swap F (the symmetry precondition) a + g is twice the
+    symmetric-subspace compression. g must come out Hermitian, which the
+    symmetry also guarantees; its check runs first.
 
     eps_max follows the fixed regime thresholds: bounded-case formula when
     gamma_star >= 10 sqrt(epsilon), unbounded when gamma_star <= 0.1
@@ -291,21 +273,14 @@ def two_copy_analysis(s: Strategy, epsilon: float | None = None) -> TwoCopyAnaly
     if asym > STRUCT_TOL:
         raise ValueError(f"operator is not swap symmetric: deviation {asym:.3e} > {STRUCT_TOL:.1e}")
 
-    comp = orthonormal_complement(s.target)
-    width = comp.shape[1]
-    if width == 0:
-        lam = gam = xi = 0.0
-    else:
-        w_iso = np.kron(s.target.amplitudes[:, None], comp)
-        ps_w = (w_iso + _swap_columns(w_iso, d)) / 2.0
-        om_ps_w = om @ ps_w
-        om_w = om @ w_iso
-        lam_mat = 2.0 * ps_w.conj().T @ om_ps_w
-        gam_mat = w_iso.conj().T @ _swap_columns(om_w, d)
-        xi_mat = gam_mat / 2.0 + w_iso.conj().T @ om_w
-        lam = _top_of_restricted("lambda_star", lam_mat)
-        gam = _top_of_restricted("gamma_star", gam_mat)
-        xi = _top_of_restricted("xi_star", xi_mat)
+    psi = s.target.amplitudes
+    half = np.tensordot(om.reshape(d, d, d, d), psi, axes=([2], [0]))
+    perp = np.eye(d) - np.outer(psi, psi.conj())
+    a_mat = perp @ np.tensordot(psi.conj(), half, axes=([0], [0])) @ perp
+    g_mat = perp @ np.tensordot(half, psi.conj(), axes=([1], [0])) @ perp
+    gam = _top_of_restricted("gamma_star", g_mat)
+    lam = _top_of_restricted("lambda_star", a_mat + g_mat)
+    xi = _top_of_restricted("xi_star", a_mat + g_mat / 2.0)
 
     if lam >= 1.0:
         raise ValueError(f"lambda_star = {lam} >= 1; two-copy analysis does not apply")

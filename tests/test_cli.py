@@ -204,7 +204,7 @@ def test_strategy_copies_out_of_range_exit_2_naming_copies(tmp_path, capsys, cop
 
 
 @pytest.mark.parametrize("command", ["analyze", "simulate"])
-@pytest.mark.parametrize("n", [14, 30])
+@pytest.mark.parametrize("n", [14, 30, 20000])
 def test_oversized_graph_exits_with_cap_message(tmp_path, capsys, command, n):
     graph = write_graph(tmp_path, f"n {n}\n1 2\n")
     assert main([command, "--graph", graph]) == 2

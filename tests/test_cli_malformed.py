@@ -19,7 +19,7 @@ import warnings
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsvkit.cli import main
+from qsvkit.cli import MAX_THETA_STEPS, main
 from qsvkit.strategy import reference_bell_artifacts, strategy_to_json
 
 
@@ -188,7 +188,7 @@ def test_strategy_files_that_are_not_objects_exit_2_with_one_line(text):
 # ---------------------------------------------------------------------
 
 def theta_grid_is_valid(text: str) -> bool:
-    """The documented contract: 'A:B:N' with 0 < A <= B <= pi/4 and an integer N >= 2."""
+    """The documented contract: 'A:B:N' with 0 < A <= B <= pi/4 and an integer 2 <= N <= cap."""
     parts = text.split(":")
     if len(parts) != 3:
         return False
@@ -196,7 +196,7 @@ def theta_grid_is_valid(text: str) -> bool:
         start, stop, steps = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         return False
-    return 0.0 < start <= stop <= math.pi / 4.0 and steps >= 2
+    return 0.0 < start <= stop <= math.pi / 4.0 and 2 <= steps <= MAX_THETA_STEPS
 
 
 NUMBERISH = st.one_of(

@@ -5,18 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from qsvkit.ghz import (
-    GhzSpec,
-    MubBasis,
-    ghz_ket,
-    lambda2_lhz,
-    mub_bases,
-    mub_strategy_d4,
-    n_de_k,
-    tensor_power_spec,
-)
-from qsvkit.qcore import Ket
+from qsvkit.ghz import _MUB_TABLES, GhzSpec, ghz_ket, lambda2_lhz, mub_strategy_d4, n_de_k
 from qsvkit.strategy import lambda2, single_copy_complexity
+from reference import tensor_power_spec
 
 
 BELL_SPEC = GhzSpec(2, 2, np.sqrt([0.5, 0.5]))
@@ -174,28 +165,15 @@ def test_n_de_k_validation():
 # ---------------------------------------------------------------------
 
 def test_mub_bases_are_mutually_unbiased():
-    bases = mub_bases()
-    assert [b.label for b in bases] == [0, 1, 2, 3, 4]
-    for a in bases:
-        for b in bases:
-            if a.label == b.label:
-                continue
-            for u in a.vectors:
-                for v in b.vectors:
-                    ov = abs(u.amplitudes.conj() @ v.amplitudes) ** 2
-                    assert abs(ov - 0.25) < 1e-10
-
-
-def test_mub_basis_validation():
-    rows = [Ket(r, (2, 2)) for r in np.eye(4, dtype=complex)]
-    with pytest.raises(ValueError, match="label"):
-        MubBasis(5, rows)
-    with pytest.raises(ValueError, match="4 vectors"):
-        MubBasis(0, rows[:3])
-    skewed = [Ket(r, (2, 2)) for r in np.eye(4, dtype=complex)]
-    skewed[1] = skewed[0]
-    with pytest.raises(ValueError, match="orthonormal"):
-        MubBasis(0, skewed)
+    # Rows of each table are one basis: orthonormal within a table, overlap
+    # 1/4 in squared modulus across tables.
+    assert len(_MUB_TABLES) == 5
+    for la, a in enumerate(_MUB_TABLES):
+        assert a.shape == (4, 4)
+        for lb, b in enumerate(_MUB_TABLES):
+            overlaps = np.abs(a.conj() @ b.T) ** 2
+            expected = np.eye(4) if la == lb else np.full((4, 4), 0.25)
+            assert np.max(np.abs(overlaps - expected)) < 1e-10
 
 
 def test_mub_strategy_second_eigenvalue_closed_form():

