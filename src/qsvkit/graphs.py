@@ -186,12 +186,10 @@ def disentangle_operators(g: Graph, a: GraphCode) -> tuple[Operator, Operator, O
 
 def _two_register_dim(n: int) -> int:
     """Register dimension 2^n, refused when the two-register side 4^n passes the cap."""
-    d = 1 << n
-    if d * d > DENSE_DIM_CAP:
-        raise ValueError(
-            f"dense two-register operator side {d * d} exceeds cap {DENSE_DIM_CAP}"
-        )
-    return d
+    # As in graph_state, compare bit counts so that a huge n never forms 4^n.
+    if 2 * n > DENSE_DIM_CAP.bit_length() - 1:
+        raise ValueError(f"dense two-register operator side 4^{n} exceeds cap {DENSE_DIM_CAP}")
+    return 1 << n
 
 
 def phase_aligned_deviation(actual: np.ndarray, reference: np.ndarray) -> float:

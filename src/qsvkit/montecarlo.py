@@ -29,12 +29,15 @@ space are drawn once per round and model fakes correlated across copies.
 
 The worst-case oracle maximizes the pass probability over product fakes
 sqrt(1 - e) psi + sqrt(e) perp by sweeping both infidelities over a
-geometric grid and, for each pair, alternating exact unit-sphere
-maximizations of the objective in one orthogonal component with the other
-held fixed. The inner step solves the quadratic-plus-linear sphere problem
-through the eigendecomposition of the restricted operator (the plain top
-eigenvector whenever the linear term vanishes), so the oracle shares no
-formulas with the two-copy analysis it cross-checks.
+geometric grid and, for each pair and random start, alternating exact
+unit-sphere maximizations of the objective in one orthogonal component with
+the other held fixed. Every (pair, start) run is one row of a stack, and all
+rows advance together one sweep at a time: a batched contraction per side
+gives each row's restricted operator, one stacked eigendecomposition solves
+every row's quadratic-plus-linear sphere problem (the plain top eigenvector
+whenever the linear term vanishes, the hard case and the secular equation
+picked by row masks), and a row leaves the stack once its objective settles.
+The oracle shares no formulas with the two-copy analysis it cross-checks.
 """
 
 from __future__ import annotations
@@ -237,9 +240,9 @@ def _acceptance_flips(probs: np.ndarray, accepted: np.ndarray) -> tuple[bool, np
     cumsum(probs), so its acceptance is accepted[0] xor the parity of the
     flips i (accepted[i] != accepted[i + 1]) with cum[i] <= u. Flips at equal
     values cancel in pairs; only values repeated an odd number of times are
-    kept.
+    kept. The CDF is taken in place, so probs holds cum on return.
     """
-    cum = np.cumsum(probs)
+    cum = np.cumsum(probs, out=probs)
     values, counts = np.unique(cum[:-1][accepted[:-1] != accepted[1:]], return_counts=True)
     return bool(accepted[0]), values[counts % 2 == 1]
 
@@ -378,10 +381,12 @@ def worst_case_oracle(s: Strategy, epsilon: float) -> WorstCaseReport:
     [epsilon, _ORACLE_PROBE_BOUND] and its own orthogonal component. The infidelity
     pair is swept over a geometric grid of _ORACLE_GRID_POINTS values per
     side (with the (epsilon, epsilon) corner always included); for each pair,
-    alternating exact sphere maximizations run until the objective changes by
-    less than _ORACLE_TOL or _ORACLE_MAX_ITERS sweeps pass, from _ORACLE_STARTS
-    deterministic random starts. Ties resolve to the earliest run, so the
-    result is reproducible.
+    alternating exact sphere maximizations run from _ORACLE_STARTS
+    deterministic random starts. All runs advance together as rows of one
+    stack, pair-major; each row stops once its objective changes by less than
+    _ORACLE_TOL, or after _ORACLE_MAX_ITERS sweeps. Ties resolve to the
+    earliest run, so the result is reproducible. Besides Omega, no array
+    holds more than rows * dim^2 entries.
     """
     if s.copies != 2:
         raise ValueError(f"oracle needs a two-copy strategy, got copies = {s.copies}")
@@ -409,23 +414,26 @@ def worst_case_oracle(s: Strategy, epsilon: float) -> WorstCaseReport:
     x_starts = _random_units(rng, _ORACLE_STARTS, width)
     y_starts = _random_units(rng, _ORACLE_STARTS, width)
 
-    best = (-1.0, None)
-    for a, b in pairs:
-        for x0, y0 in zip(x_starts, y_starts):
-            value, x, y, iters, conv = _alternate(omega4, psi, comp, a, b, x0, y0)
-            if value > best[0]:
-                best = (value, (a, b, x, y, iters, conv))
+    # One row per (pair, start), pair-major, so the first argmax is the earliest run.
+    a, b = np.repeat(np.array(pairs), _ORACLE_STARTS, axis=0).T
+    tiles = (len(pairs), 1)
+    value, x, y, sweeps, converged = _alternate(
+        omega4, psi, comp, a, b, np.tile(x_starts, tiles), np.tile(y_starts, tiles)
+    )
+    best = int(np.argmax(value))
+    value = float(value[best])
 
-    value, (a, b, x, y, iters, conv) = best
     if value > 1.0 + 1e-8:
         raise ValueError(f"objective {value} exceeds 1; operator violates the <= I bound")
     descriptors = {
-        "eps_r": float(a),
-        "eps_r_prime": float(b),
-        "perp": comp @ x,
-        "perp_prime": comp @ y,
+        "eps_r": float(a[best]),
+        "eps_r_prime": float(b[best]),
+        "perp": comp @ x[best],
+        "perp_prime": comp @ y[best],
     }
-    return WorstCaseReport(min(max(value, 0.0), 1.0), descriptors, iters, conv)
+    return WorstCaseReport(
+        min(max(value, 0.0), 1.0), descriptors, int(sweeps[best]), bool(converged[best])
+    )
 
 
 def _random_units(rng: np.random.Generator, count: int, width: int) -> np.ndarray:
@@ -433,59 +441,104 @@ def _random_units(rng: np.random.Generator, count: int, width: int) -> np.ndarra
     return block / np.linalg.norm(block, axis=1, keepdims=True)
 
 
-def _alternate(omega4, psi, comp, a, b, x0, y0):
-    x, y = x0, y0
-    previous = -np.inf
+def _fake_rows(psi: np.ndarray, comp: np.ndarray, infid: np.ndarray, perp: np.ndarray) -> np.ndarray:
+    """Rows sqrt(1 - e) psi + sqrt(e) comp perp, one per row of (infid, perp)."""
+    return np.sqrt(1.0 - infid)[:, None] * psi + np.sqrt(infid)[:, None] * (perp @ comp.T)
+
+
+def _alternate(omega4, psi, comp, a, b, x, y):
+    """Alternating sphere maximizations for every row (a, b, x0, y0) at once.
+
+    A sweep maximizes over x with y held, then over y with x held, on the
+    rows still active. A row leaves at the first sweep whose objective moves
+    by less than _ORACLE_TOL and keeps its x, y, value and sweep count.
+    Returns (value, x, y, sweeps, converged), one entry per row.
+    """
+    x, y = x.copy(), y.copy()
+    value = np.full(len(a), -np.inf)
+    sweeps = np.full(len(a), _ORACLE_MAX_ITERS)
+    converged = np.zeros(len(a), dtype=bool)
+    live = np.arange(len(a))
+    comp_h = comp.conj().T
     for sweep in range(1, _ORACLE_MAX_ITERS + 1):
-        sigma_p = math.sqrt(1.0 - b) * psi + math.sqrt(b) * (comp @ y)
-        m_first = np.einsum("j,ijkl,l->ik", sigma_p.conj(), omega4, sigma_p)
-        x = _sphere_max(a, comp.conj().T @ m_first @ comp, comp.conj().T @ (m_first @ psi))
+        a_live, b_live = a[live], b[live]
+        second = _fake_rows(psi, comp, b_live, y[live])
+        m_first = np.einsum("rj,ijkl,rl->rik", second.conj(), omega4, second)
+        x[live] = _sphere_max(a_live, comp_h @ m_first @ comp, (m_first @ psi) @ comp.conj())
 
-        sigma = math.sqrt(1.0 - a) * psi + math.sqrt(a) * (comp @ x)
-        m_second = np.einsum("i,ijkl,k->jl", sigma.conj(), omega4, sigma)
-        y = _sphere_max(b, comp.conj().T @ m_second @ comp, comp.conj().T @ (m_second @ psi))
+        first = _fake_rows(psi, comp, a_live, x[live])
+        m_second = np.einsum("ri,ijkl,rk->rjl", first.conj(), omega4, first)
+        y[live] = _sphere_max(b_live, comp_h @ m_second @ comp, (m_second @ psi) @ comp.conj())
 
-        sigma_p = math.sqrt(1.0 - b) * psi + math.sqrt(b) * (comp @ y)
-        value = float(np.real(sigma_p.conj() @ (m_second @ sigma_p)))
-        if abs(value - previous) < _ORACLE_TOL:
-            return value, x, y, sweep, True
-        previous = value
-    return previous, x, y, _ORACLE_MAX_ITERS, False
-
-
-def _sphere_max(mix: float, quad: np.ndarray, cross: np.ndarray) -> np.ndarray:
-    """Unit x maximizing mix x'Qx + 2 sqrt(mix(1-mix)) Re(x'c)."""
-    ahat = mix * (quad + quad.conj().T) / 2.0
-    chat = math.sqrt(mix * (1.0 - mix)) * cross
-    vals, vecs = np.linalg.eigh(ahat)
-    beta = vecs.conj().T @ chat
-    if float(np.linalg.norm(beta)) <= 1e-14:
-        return vecs[:, -1]
-    top = vals[-1]
-    interior = top - vals > 1e-13 * max(1.0, abs(top))
-    tail2 = float(np.sum(np.abs(beta[interior]) ** 2 / (top - vals[interior]) ** 2))
-    top_mass = float(np.sum(np.abs(beta[~interior]) ** 2))
-    if top_mass <= 1e-28 and tail2 <= 1.0:
-        partial = vecs[:, interior] @ (beta[interior] / (top - vals[interior]))
-        return partial + math.sqrt(max(1.0 - tail2, 0.0)) * vecs[:, -1]
-
-    def norm2(mu: float) -> float:
-        return float(np.sum(np.abs(beta) ** 2 / (mu - vals) ** 2))
-
-    lo = top + max(math.sqrt(top_mass), 1e-300)
-    while norm2(lo) < 1.0:
-        lo = top + (lo - top) / 2.0
-        if lo - top < 1e-280:
+        second = _fake_rows(psi, comp, b_live, y[live])
+        current = np.real(np.einsum("rj,rjl,rl->r", second.conj(), m_second, second))
+        done = np.abs(current - value[live]) < _ORACLE_TOL
+        value[live] = current
+        sweeps[live[done]] = sweep
+        converged[live[done]] = True
+        live = live[~done]
+        if not live.size:
             break
-    hi = top + float(np.linalg.norm(beta)) + 1e-30
-    while norm2(hi) > 1.0:
-        hi = top + 2.0 * (hi - top)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if norm2(mid) > 1.0:
-            lo = mid
-        else:
-            hi = mid
-    mu = 0.5 * (lo + hi)
-    x = vecs @ (beta / (mu - vals))
-    return x / float(np.linalg.norm(x))
+    return value, x, y, sweeps, converged
+
+
+def _sphere_max(mix: np.ndarray, quad: np.ndarray, cross: np.ndarray) -> np.ndarray:
+    """Unit rows x maximizing mix x'Qx + 2 sqrt(mix(1-mix)) Re(x'c), one per stacked row.
+
+    With the scaled Hermitian part of Q eigendecomposed as V diag(vals) V' and
+    beta = V'c scaled, row masks pick one of three cases: no linear term (the
+    top eigenvector); the hard case, a linear term orthogonal to the top
+    eigenspace and short enough (the interior solution plus a top component);
+    otherwise the secular equation |beta / (mu - vals)| = 1, solved for
+    mu > top by bisection. Each row's answer depends on that row alone.
+    """
+    ahat = mix[:, None, None] * (quad + quad.conj().swapaxes(1, 2)) / 2.0
+    chat = np.sqrt(mix * (1.0 - mix))[:, None] * cross
+    vals, vecs = np.linalg.eigh(ahat)
+    beta = (vecs.conj().swapaxes(1, 2) @ chat[:, :, None])[:, :, 0]
+    weight = np.abs(beta) ** 2
+    beta_norm = np.linalg.norm(beta, axis=1)
+    top = vals[:, -1]
+    gap = top[:, None] - vals
+    interior = gap > 1e-13 * np.maximum(1.0, np.abs(top))[:, None]
+    gap = np.where(interior, gap, 1.0)
+    tail2 = np.sum(np.where(interior, weight / gap**2, 0.0), axis=1)
+    top_mass = np.sum(np.where(interior, 0.0, weight), axis=1)
+    linear = beta_norm > 1e-14
+    hard = linear & (top_mass <= 1e-28) & (tail2 <= 1.0)
+    secular = linear & ~hard
+
+    x = vecs[:, :, -1].copy()
+    if hard.any():
+        partial = np.where(interior[hard], beta[hard] / gap[hard], 0.0)
+        lift = np.sqrt(np.maximum(1.0 - tail2[hard], 0.0))
+        x[hard] = (vecs[hard] @ partial[:, :, None])[:, :, 0] + lift[:, None] * x[hard]
+    if secular.any():
+        vals_s, weight_s, top_s = vals[secular], weight[secular], top[secular]
+
+        def norm2(mu: np.ndarray) -> np.ndarray:
+            # A vanishing mu - vals reads as an infinite (or undefined) norm.
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return np.sum(weight_s / (mu[:, None] - vals_s) ** 2, axis=1)
+
+        lo = top_s + np.maximum(np.sqrt(top_mass[secular]), 1e-300)
+        shrink = norm2(lo) < 1.0
+        while shrink.any():
+            lo[shrink] = top_s[shrink] + (lo[shrink] - top_s[shrink]) / 2.0
+            shrink &= ~(lo - top_s < 1e-280)
+            shrink &= norm2(lo) < 1.0
+        hi = top_s + beta_norm[secular] + 1e-30
+        grow = norm2(hi) > 1.0
+        while grow.any():
+            hi[grow] = top_s[grow] + 2.0 * (hi[grow] - top_s[grow])
+            grow &= norm2(hi) > 1.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            above = norm2(mid) > 1.0
+            lo = np.where(above, mid, lo)
+            hi = np.where(above, hi, mid)
+        mu = 0.5 * (lo + hi)
+        coef = beta[secular] / (mu[:, None] - vals_s)
+        unnormed = (vecs[secular] @ coef[:, :, None])[:, :, 0]
+        x[secular] = unnormed / np.linalg.norm(unnormed, axis=1, keepdims=True)
+    return x

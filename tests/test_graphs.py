@@ -234,11 +234,17 @@ def test_check_disentangled_equations_memory_stays_small(rng):
 
 def test_disentangling_gates_refuse_seven_vertices(rng):
     ring7 = Graph(7, [(i, i % 7 + 1) for i in range(1, 8)])
-    message = "dense two-register operator side 16384 exceeds cap 8192"
+    message = r"dense two-register operator side 4\^7 exceeds cap 8192"
     with pytest.raises(ValueError, match=message):
         check_disentangled_equations(ring7, Ket(random_unit(rng, 128), (2,) * 7))
     with pytest.raises(ValueError, match=message):
         disentangle_operators(ring7, GraphCode("0" * 7))
+
+
+def test_disentangling_gates_refuse_a_huge_vertex_count():
+    # 4^20000 has more digits than Python will print; the cap message must not need them.
+    with pytest.raises(ValueError, match="cap"):
+        disentangle_operators(Graph(20000, []), GraphCode("0" * 20000))
 
 
 def test_check_disentangled_equations_rejects_dim_mismatch(rng):

@@ -18,6 +18,7 @@ from qsvkit.montecarlo import (
 )
 from qsvkit.qcore import Ket, Operator, bell_ket, orthonormal_complement
 from qsvkit.strategy import Strategy, reference_bell_artifacts
+from reference import sphere_max, worst_case_search
 
 
 PATH2 = Graph(2, [(1, 2)])
@@ -559,3 +560,98 @@ def test_oracle_input_guards(rng):
         worst_case_oracle(sym, 0.0)
     with pytest.raises(ValueError, match="probe bound"):
         worst_case_oracle(sym, 0.6)
+
+
+def _sphere_case(mix: float, quad: np.ndarray, cross: np.ndarray) -> str:
+    """Which of the sphere solver's three cases a problem falls in, by the scalar rules."""
+    vals, vecs = np.linalg.eigh(mix * (quad + quad.conj().T) / 2.0)
+    beta = vecs.conj().T @ (math.sqrt(mix * (1.0 - mix)) * cross)
+    if np.linalg.norm(beta) <= 1e-14:
+        return "top"
+    interior = vals[-1] - vals > 1e-13 * max(1.0, abs(vals[-1]))
+    tail2 = np.sum(np.abs(beta[interior]) ** 2 / (vals[-1] - vals[interior]) ** 2)
+    if np.sum(np.abs(beta[~interior]) ** 2) <= 1e-28 and tail2 <= 1.0:
+        return "hard"
+    return "secular"
+
+
+def _sphere_problems(rng, width: int = 3):
+    """Stacked (mix, quad, cross) rows: two per case and a third secular one, built to fit."""
+    rows = []
+
+    def eigenbasis():
+        q, _ = np.linalg.qr(rng.normal(size=(width, width)) + 1j * rng.normal(size=(width, width)))
+        return q
+
+    for mix in (0.3, 1e-3):
+        quad = rng.normal(size=(width, width)) + 1j * rng.normal(size=(width, width))
+        rows.append((mix, quad, np.zeros(width, dtype=complex)))
+    # Hard case: the linear term avoids the (once degenerate) top eigenspace
+    # and is scaled so that its interior solution has squared norm 0.49.
+    for mix, vals in ((0.2, np.array([-0.5, 0.1, 0.8])), (0.5, np.array([0.2, 0.8, 0.8]))):
+        q = eigenbasis()
+        coeffs = rng.normal(size=width) + 1j * rng.normal(size=width)
+        coeffs[vals == vals[-1]] = 0.0
+        scale = math.sqrt(mix * (1.0 - mix))
+        gaps = np.where(vals < vals[-1], mix * (vals[-1] - vals), 1.0)
+        coeffs *= 0.7 / np.linalg.norm(scale * coeffs / gaps)
+        rows.append((mix, (q * vals) @ q.conj().T, q @ coeffs))
+    # Secular equation: two generic linear terms, and one with only a 1e-3
+    # component along the top eigenvector.
+    for mix in (0.4, 1e-2):
+        quad = rng.normal(size=(width, width)) + 1j * rng.normal(size=(width, width))
+        rows.append((mix, quad, rng.normal(size=width) + 1j * rng.normal(size=width)))
+    mix, vals, q = 0.25, np.array([0.0, 0.3, 0.9]), eigenbasis()
+    rows.append((mix, (q * vals) @ q.conj().T, q @ np.array([1.0, 1.0j, 1e-3])))
+    mix, quad, cross = zip(*rows)
+    return np.array(mix), np.array(quad), np.array(cross)
+
+
+def test_stacked_sphere_max_matches_the_scalar_reference(rng):
+    mix, quad, cross = _sphere_problems(rng)
+    cases = [_sphere_case(*row) for row in zip(mix, quad, cross)]
+    assert cases == ["top"] * 2 + ["hard"] * 2 + ["secular"] * 3
+    stacked = montecarlo._sphere_max(mix, quad, cross)
+    for i in range(len(mix)):
+        assert np.max(np.abs(stacked[i] - sphere_max(mix[i], quad[i], cross[i]))) <= 1e-12
+        alone = montecarlo._sphere_max(mix[i : i + 1], quad[i : i + 1], cross[i : i + 1])
+        assert np.array_equal(alone[0], stacked[i])
+
+
+def _random_product_strategy(seed: int) -> Strategy:
+    """omega (x) omega for a random qubit target and omega = psi psi' + lam perp perp'."""
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    target = Ket(random_unit(gen, 2), (2,))
+    perp = orthonormal_complement(target)[:, 0]
+    omega = np.outer(target.amplitudes, target.amplitudes.conj())
+    omega = omega + gen.uniform(0.1, 0.9) * np.outer(perp, perp.conj())
+    return Strategy(Operator(np.kron(omega, omega), (2, 2), hermitian=True), target, copies=2)
+
+
+ORACLE_SUBJECTS = {
+    "path2": lambda: omega_graph(PATH2, matrix_free=False).strategy,
+    "bell-product": bell_product_strategy,
+    "random-product-1": lambda: _random_product_strategy(1),
+    "random-product-2": lambda: _random_product_strategy(2),
+}
+
+
+@pytest.mark.parametrize(
+    "name, eps",
+    [
+        ("path2", 1e-3),
+        ("path2", 1e-4),
+        ("bell-product", 1e-3),
+        ("bell-product", 1e-4),
+        ("random-product-1", 1e-3),
+        ("random-product-2", 1e-3),
+    ],
+)
+def test_oracle_matches_the_run_by_run_reference(name, eps):
+    s = ORACLE_SUBJECTS[name]()
+    report = worst_case_oracle(s, eps)
+    value, eps_r, eps_r_prime, sweeps, converged = worst_case_search(s, eps)
+    assert abs(report.p_hat - value) <= 1e-12
+    assert (report.iterations, report.converged) == (sweeps, converged)
+    assert report.argmax_state_descriptors["eps_r"] == eps_r
+    assert report.argmax_state_descriptors["eps_r_prime"] == eps_r_prime
