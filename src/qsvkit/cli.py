@@ -1,10 +1,15 @@
 """Command-line surface: analyze strategies, emit figure tables, run trials.
 
-Three subcommands share one configuration record. ``analyze`` reads a graph
-file or a strategy JSON file and reports the governing eigenvalue scalars
-and sample counts; ``curves`` writes the desk-scale data tables behind the
-two comparison figures; ``simulate`` runs the sampled protocol. Reports go
-to stdout unless --out names a file.
+Three subcommands: ``analyze`` reads a graph file or a strategy JSON file
+and reports the governing eigenvalue scalars and sample counts; ``curves``
+writes the desk-scale data tables behind the two comparison figures;
+``simulate`` runs the sampled protocol. Reports go to stdout unless --out
+names a file.
+
+The parser built by build_parser is the only record of the flags and their
+defaults: each command reads the parsed namespace directly, after one check
+refuses the values argparse cannot rule out (ranges, the theta-grid syntax,
+and an input given as neither or both of --graph and --strategy).
 
 All numeric output is serialized with 10 significant digits and a trailing
 newline, independent of locale. Infinite quantities appear as the string
@@ -19,7 +24,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,51 +58,8 @@ FIG4_NOTE = (
 
 
 # =====================================================================
-# Configuration
+# Flags
 # =====================================================================
-
-
-@dataclass
-class RunConfig:
-    """Validated flag set for one command invocation."""
-
-    command: str
-    epsilon: float | None = 1e-3
-    delta: float = 1e-3
-    theta_grid: tuple[float, float, int] | None = None
-    graph_path: str | None = None
-    strategy_path: str | None = None
-    figure: str | None = None
-    out_path: str | None = None
-    format: str = "json"
-    seed: int = 0
-    trials: int = 100000
-
-    def __post_init__(self) -> None:
-        if self.command not in ("analyze", "curves", "simulate"):
-            raise ValueError(f"unknown command {self.command!r}")
-        if self.epsilon is not None and not 0.0 < self.epsilon < 1.0:
-            raise ValueError(f"epsilon = {self.epsilon} outside (0, 1)")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta = {self.delta} outside (0, 1)")
-        if self.theta_grid is not None:
-            start, stop, steps = self.theta_grid
-            if steps < 2:
-                raise ValueError(f"theta grid needs at least 2 steps: {steps}")
-            if steps > MAX_THETA_STEPS:
-                raise ValueError(f"theta grid needs at most {MAX_THETA_STEPS} steps: {steps}")
-            if not 0.0 < start <= stop <= math.pi / 4.0:
-                raise ValueError(
-                    f"theta grid [{start}, {stop}] outside the open-to-closed (0, pi/4]"
-                )
-        if self.format not in ("csv", "json"):
-            raise ValueError(f"format must be csv or json: {self.format!r}")
-        if self.figure is not None and self.figure not in ("fig3", "fig4"):
-            raise ValueError(f"figure must be fig3 or fig4: {self.figure!r}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed {self.seed} outside the 64-bit range")
-        if self.trials < 1:
-            raise ValueError(f"trials must be positive: {self.trials}")
 
 
 def parse_theta_grid(text: str) -> tuple[float, float, int]:
@@ -148,18 +109,33 @@ def _add_output_flags(sub: argparse.ArgumentParser, default_format: str) -> None
     sub.add_argument("--format", choices=["csv", "json"], default=default_format)
 
 
-def config_from_args(ns: argparse.Namespace) -> RunConfig:
-    fields = {
-        "command": ns.command,
-        "out_path": ns.out_path,
-        "format": ns.format,
-    }
-    for name in ("epsilon", "delta", "graph_path", "strategy_path", "figure", "seed", "trials"):
-        if hasattr(ns, name):
-            fields[name] = getattr(ns, name)
-    if getattr(ns, "theta_grid", None) is not None:
-        fields["theta_grid"] = parse_theta_grid(ns.theta_grid)
-    return RunConfig(**fields)
+def _check_args(ns: argparse.Namespace) -> None:
+    """Refuse the flag values argparse cannot rule out, one ValueError at a time.
+
+    Each check runs only when the subcommand has the flag. A --theta-grid
+    text is replaced by its parsed (start, stop, steps).
+    """
+    grid = getattr(ns, "theta_grid", None)
+    if grid is not None:
+        ns.theta_grid = grid = parse_theta_grid(grid)
+    if ns.epsilon is not None and not 0.0 < ns.epsilon < 1.0:
+        raise ValueError(f"epsilon = {ns.epsilon} outside (0, 1)")
+    if "delta" in ns and not 0.0 < ns.delta < 1.0:
+        raise ValueError(f"delta = {ns.delta} outside (0, 1)")
+    if grid is not None:
+        start, stop, steps = grid
+        if steps < 2:
+            raise ValueError(f"theta grid needs at least 2 steps: {steps}")
+        if steps > MAX_THETA_STEPS:
+            raise ValueError(f"theta grid needs at most {MAX_THETA_STEPS} steps: {steps}")
+        if not 0.0 < start <= stop <= math.pi / 4.0:
+            raise ValueError(f"theta grid [{start}, {stop}] outside the open-to-closed (0, pi/4]")
+    if "seed" in ns and not 0 <= ns.seed < 2**64:
+        raise ValueError(f"seed {ns.seed} outside the 64-bit range")
+    if "trials" in ns and ns.trials < 1:
+        raise ValueError(f"trials must be positive: {ns.trials}")
+    if "graph_path" in ns and (ns.graph_path is None) == (ns.strategy_path is None):
+        raise ValueError("provide exactly one of --graph or --strategy")
 
 
 # =====================================================================
@@ -191,32 +167,32 @@ def _csv_value(value) -> str:
     return str(value)
 
 
-def _emit_report(report: dict, config: RunConfig) -> None:
-    if config.format == "json":
+def _emit_report(report: dict, ns: argparse.Namespace) -> None:
+    if ns.format == "json":
         body = {key: _json_value(val) for key, val in report.items()}
         text = json.dumps(body, indent=2) + "\n"
     else:
         lines = ["key,value"] + [f"{k},{_csv_value(v)}" for k, v in report.items()]
         text = "\n".join(lines) + "\n"
-    _write_text(text, config.out_path)
+    _write_text(text, ns.out_path)
 
 
-def _emit_table(columns, rows, config: RunConfig, comments=()) -> None:
-    if config.format == "csv":
+def _emit_table(columns, rows, ns: argparse.Namespace, comments=()) -> None:
+    if ns.format == "csv":
         lines = [f"# {c}" for c in comments]
         lines.append(",".join(columns))
         lines.extend(",".join(f"{v:.10g}" for v in row) for row in rows)
         text = "\n".join(lines) + "\n"
     else:
         body = {
-            "figure": config.figure,
+            "figure": ns.figure,
             "columns": list(columns),
             "rows": [[_json_value(float(v)) for v in row] for row in rows],
         }
         if comments:
             body["notes"] = list(comments)
         text = json.dumps(body, indent=2) + "\n"
-    _write_text(text, config.out_path)
+    _write_text(text, ns.out_path)
 
 
 def _write_text(text: str, out_path: str | None) -> None:
@@ -232,40 +208,36 @@ def _write_text(text: str, out_path: str | None) -> None:
 # =====================================================================
 
 
-def cmd_analyze(config: RunConfig) -> int:
+def cmd_analyze(ns: argparse.Namespace) -> int:
     """Eigenvalue scalars plus sample counts for a graph or strategy input."""
-    if (config.graph_path is None) == (config.strategy_path is None):
-        raise ValueError("provide exactly one of --graph or --strategy")
-    epsilon = config.epsilon if config.epsilon is not None else 1e-3
-
-    if config.graph_path is not None:
-        g = load_graph(config.graph_path)
+    if ns.graph_path is not None:
+        g = load_graph(ns.graph_path)
         opt = verify_graph_optimality(omega_graph(g))
-        analysis = analysis_from_scalars(opt.lambda_star, opt.gamma_star, opt.xi_star, epsilon)
-        return _two_copy_report(analysis, epsilon, config)
+        analysis = analysis_from_scalars(opt.lambda_star, opt.gamma_star, opt.xi_star, ns.epsilon)
+        return _two_copy_report(analysis, ns)
 
-    s = _load_strategy(config.strategy_path)
+    s = _load_strategy(ns.strategy_path)
     if s.copies == 1:
         lam = lambda2(s)
-        counts = single_copy_complexity(lam, epsilon, config.delta)
+        counts = single_copy_complexity(lam, ns.epsilon, ns.delta)
         report = {
             "lambda2": lam,
             "exact_N": counts.exact_N,
             "approx_N": counts.approx_N,
         }
-        _emit_report(report, config)
+        _emit_report(report, ns)
         return EXIT_OK
     if s.copies == 2:
         try:
-            analysis = two_copy_analysis(s, epsilon=epsilon)
+            analysis = two_copy_analysis(s, epsilon=ns.epsilon)
         except ValueError as exc:
-            _emit_report({"hypothesis_failure": str(exc)}, config)
+            _emit_report({"hypothesis_failure": str(exc)}, ns)
             return EXIT_PRECONDITION
-        return _two_copy_report(analysis, epsilon, config)
+        return _two_copy_report(analysis, ns)
     raise ValueError(f"analysis supports 1 or 2 copies, got {s.copies}")
 
 
-def _two_copy_report(analysis: TwoCopyAnalysis, epsilon: float, config: RunConfig) -> int:
+def _two_copy_report(analysis: TwoCopyAnalysis, ns: argparse.Namespace) -> int:
     report = {
         "lambda_star": analysis.lambda_star,
         "gamma_star": analysis.gamma_star,
@@ -273,16 +245,16 @@ def _two_copy_report(analysis: TwoCopyAnalysis, epsilon: float, config: RunConfi
         "eps_max": analysis.eps_max,
     }
     try:
-        counts = two_copy_complexity(analysis, epsilon, config.delta)
+        counts = two_copy_complexity(analysis, ns.epsilon, ns.delta)
     except ValueError as exc:
         report["exact_N"] = None
         report["approx_N"] = None
         report["hypothesis_failure"] = str(exc)
-        _emit_report(report, config)
+        _emit_report(report, ns)
         return EXIT_PRECONDITION
     report["exact_N"] = counts.exact_N
     report["approx_N"] = counts.approx_N
-    _emit_report(report, config)
+    _emit_report(report, ns)
     return EXIT_OK
 
 
@@ -298,68 +270,65 @@ def _load_strategy(path: str):
         raise ValueError(f"strategy file {path}: missing or malformed field ({exc})") from None
 
 
-def cmd_curves(config: RunConfig) -> int:
+def cmd_curves(ns: argparse.Namespace) -> int:
     """Desk-scale tables for the two comparison figures."""
-    if config.figure == "fig3":
+    if ns.figure == "fig3":
         free = analysis_from_scalars(0.0, 0.0, 0.0)
         rows = []
         for eps in np.logspace(-4.0, -1.0, 30):
             rows.append(
                 (
                     float(eps),
-                    two_copy_complexity(free, float(eps), config.delta).exact_N,
-                    single_copy_complexity(1.0 / 3.0, float(eps), config.delta).exact_N,
-                    single_copy_complexity(0.0, float(eps), config.delta).approx_N,
+                    two_copy_complexity(free, float(eps), ns.delta).exact_N,
+                    single_copy_complexity(1.0 / 3.0, float(eps), ns.delta).exact_N,
+                    single_copy_complexity(0.0, float(eps), ns.delta).approx_N,
                 )
             )
-        _emit_table(FIG3_COLUMNS, rows, config)
+        _emit_table(FIG3_COLUMNS, rows, ns)
         return EXIT_OK
 
-    epsilon = config.epsilon if config.epsilon is not None else 1e-3
-    if config.theta_grid is not None:
-        start, stop, steps = config.theta_grid
+    if ns.theta_grid is not None:
+        start, stop, steps = ns.theta_grid
         thetas = np.linspace(start, stop, steps)
     else:
         thetas = np.array([i * (math.pi / 4.0) / 51.0 for i in range(1, 51)])
-    n_glob = single_copy_complexity(0.0, epsilon, config.delta).approx_N
+    n_glob = single_copy_complexity(0.0, ns.epsilon, ns.delta).approx_N
     rows = []
     for theta in thetas:
         spec = GhzSpec(2, 2, [math.cos(theta), math.sin(theta)])
-        counts = [n_de_k(spec, k, epsilon, config.delta).approx_N for k in (1, 2, 3, 4)]
+        counts = [n_de_k(spec, k, ns.epsilon, ns.delta).approx_N for k in (1, 2, 3, 4)]
         rows.append((float(theta), *counts, n_glob))
-    _emit_table(FIG4_COLUMNS, rows, config, comments=(FIG4_NOTE,))
+    _emit_table(FIG4_COLUMNS, rows, ns, comments=(FIG4_NOTE,))
     return EXIT_OK
 
 
-def cmd_simulate(config: RunConfig) -> int:
+def cmd_simulate(ns: argparse.Namespace) -> int:
     """Sample the protocol and report the empirical pass rate."""
-    if (config.graph_path is None) == (config.strategy_path is None):
-        raise ValueError("provide exactly one of --graph or --strategy")
-    if config.graph_path is not None:
-        subject = omega_graph(load_graph(config.graph_path))
+    if ns.graph_path is not None:
+        subject = omega_graph(load_graph(ns.graph_path))
         target = graph_state(subject.graph)
     else:
-        subject = _load_strategy(config.strategy_path)
+        subject = _load_strategy(ns.strategy_path)
         target = subject.target
 
-    if config.epsilon is None:
+    if ns.epsilon is None:
         source: Ket | list = target
     else:
         perp = Ket(first_complement_vector(target), target.dims)
-        source = [(1.0 - config.epsilon, target), (config.epsilon, perp)]
-    cfg = TrialConfig(config.trials, config.seed, source)
+        source = [(1.0 - ns.epsilon, target), (ns.epsilon, perp)]
+    cfg = TrialConfig(ns.trials, ns.seed, source)
     passes, p_emp, stderr = simulate_protocol(subject, cfg)
     report = {
         "p_emp": p_emp,
         "stderr": stderr,
         "passes": passes,
-        "trials": config.trials,
-        "seed": config.seed,
+        "trials": ns.trials,
+        "seed": ns.seed,
     }
-    if config.graph_path is not None:
+    if ns.graph_path is not None:
         report["F_hat"] = fidelity_from_passrate(p_emp)
         report["F_true"] = source_fidelity(target, cfg)
-    _emit_report(report, config)
+    _emit_report(report, ns)
     return EXIT_OK
 
 
@@ -370,8 +339,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
-        config = config_from_args(ns)
-        return _DISPATCH[config.command](config)
+        _check_args(ns)
+        return _DISPATCH[ns.command](ns)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import Ket, Operator
+from .qcore import Ket, Operator, dense_power
 from .strategy import ComplexityReport, Strategy
 
 # =====================================================================
@@ -94,7 +94,7 @@ _MUB_TABLES: list[np.ndarray] = [
 
 def ghz_ket(spec: GhzSpec) -> Ket:
     """The GHZ-like state sum_j s_j |j>^(x n) with dims (d,) * n."""
-    size = spec.d**spec.n
+    size = dense_power(spec.d, spec.n, f"GHZ-like state dimension {spec.d}^{spec.n}")
     amps = np.zeros(size, dtype=complex)
     stride = (size - 1) // (spec.d - 1)  # index of |j...j> is j * stride
     for j in range(spec.d):

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph, graph_state, parity_accept_indices
-from .qcore import DENSE_DIM_CAP, Ket, Operator, walsh_signs
+from .qcore import Ket, Operator, dense_power, walsh_signs
 from .strategy import Strategy, two_copy_analysis
 
 MATRIX_FREE_DEFAULT_FROM = 5
@@ -90,11 +90,8 @@ def omega_graph(g: Graph, matrix_free: bool | None = None) -> GraphStrategy:
     """
     if matrix_free is None:
         matrix_free = g.n >= MATRIX_FREE_DEFAULT_FROM
-    if not matrix_free and 2 * g.n > DENSE_DIM_CAP.bit_length() - 1:
-        raise ValueError(
-            f"dense two-copy operator on {g.n} vertices has side 4^{g.n} > cap {DENSE_DIM_CAP}; "
-            "use matrix_free=True"
-        )
+    if not matrix_free:
+        dense_power(4, g.n, f"dense two-copy operator on {g.n} vertices: side 4^{g.n}")
     return GraphStrategy(g, dense=not matrix_free)
 
 

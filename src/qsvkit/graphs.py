@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .qcore import DENSE_DIM_CAP, Ket, Operator, walsh_signs
+from .qcore import Ket, Operator, dense_power, walsh_signs
 
 # =====================================================================
 # Domain types
@@ -137,13 +137,8 @@ def graph_state(g: Graph) -> Ket:
 
     The amplitude of |b> is (-1)^(sum over edges of b_u b_v) / sqrt(2^n).
     """
-    # 2^n <= DENSE_DIM_CAP exactly when n is at most its bit length less one;
-    # comparing counts keeps a huge n from forming (and printing) 2^n.
-    if g.n > DENSE_DIM_CAP.bit_length() - 1:
-        raise ValueError(
-            f"graph state on {g.n} vertices has dimension 2^{g.n} > cap {DENSE_DIM_CAP}"
-        )
-    amps = _edge_signs(g).astype(complex) / np.sqrt(1 << g.n)
+    d = dense_power(2, g.n, f"graph state on {g.n} vertices: dimension 2^{g.n}")
+    amps = _edge_signs(g).astype(complex) / np.sqrt(d)
     return Ket(amps, (2,) * g.n)
 
 
@@ -165,7 +160,8 @@ def disentangle_operators(g: Graph, a: GraphCode) -> tuple[Operator, Operator, O
     """
     if len(a) != g.n:
         raise ValueError(f"code length {len(a)} does not match vertex count {g.n}")
-    d = _two_register_dim(g.n)
+    dense_power(4, g.n, f"dense two-register operator side 4^{g.n}")
+    d = 1 << g.n
     x = np.arange(d, dtype=np.int64)
     h = _hadamard_layer(g.n)
     e = _edge_signs(g)
@@ -182,14 +178,6 @@ def disentangle_operators(g: Graph, a: GraphCode) -> tuple[Operator, Operator, O
         Operator(h * e[None, :], (2,) * g.n),
         Operator(np.diag(walsh_signs(code, x)), (2,) * g.n, hermitian=True),
     )
-
-
-def _two_register_dim(n: int) -> int:
-    """Register dimension 2^n, refused when the two-register side 4^n passes the cap."""
-    # As in graph_state, compare bit counts so that a huge n never forms 4^n.
-    if 2 * n > DENSE_DIM_CAP.bit_length() - 1:
-        raise ValueError(f"dense two-register operator side 4^{n} exceeds cap {DENSE_DIM_CAP}")
-    return 1 << n
 
 
 def phase_aligned_deviation(actual: np.ndarray, reference: np.ndarray) -> float:
@@ -234,7 +222,8 @@ def check_disentangled_equations(g: Graph, omega: Ket, tol: float = 1e-10) -> Di
     n = g.n
     if omega.dim != 1 << n:
         raise ValueError(f"work ket dimension {omega.dim} does not match {n} qubits")
-    d = _two_register_dim(n)
+    dense_power(4, n, f"dense two-register operator side 4^{n}")
+    d = 1 << n
     x = np.arange(d, dtype=np.int64)[:, None]
     h = _hadamard_layer(n)
     e = _edge_signs(g)

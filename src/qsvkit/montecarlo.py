@@ -32,8 +32,9 @@ sqrt(1 - e) psi + sqrt(e) perp by sweeping both infidelities over a
 geometric grid and, for each pair and random start, alternating exact
 unit-sphere maximizations of the objective in one orthogonal component with
 the other held fixed. Every (pair, start) run is one row of a stack, and all
-rows advance together one sweep at a time: a batched contraction per side
-gives each row's restricted operator, one stacked eigendecomposition solves
+rows advance together one sweep at a time: one matrix product with a
+reordered copy of Omega gives each row's restricted operator on either side
+(Omega commutes with the copy swap), one stacked eigendecomposition solves
 every row's quadratic-plus-linear sphere problem (the plain top eigenvector
 whenever the linear term vanishes, the hard case and the secular equation
 picked by row masks), and a row leaves the stack once its objective settles.
@@ -122,6 +123,22 @@ def _word_blocks(cfg: TrialConfig) -> Iterator[np.ndarray]:
     bits = np.random.Philox(key=cfg.seed)
     for start in range(0, cfg.trials, _CHUNK_TRIALS):
         yield bits.random_raw(4 * min(_CHUNK_TRIALS, cfg.trials - start)).reshape(-1, 4)
+
+
+def _source_blocks(cfg: TrialConfig, pairs: bool) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Each block of _word_blocks with its rows' source keys.
+
+    A key is the component word 0 draws or, with pairs (an i.i.d. source on
+    two copies), that component * components + the one word 1 draws.
+    """
+    comps = len(cfg.source)
+    source = _StepLookup(np.cumsum([w for w, _ in cfg.source])[:-1])
+    for words in _word_blocks(cfg):
+        keys = source.count(words[:, 0])
+        if pairs:
+            keys *= comps
+            keys += source.count(words[:, 1])
+        yield words, keys
 
 
 def _mantissas(words: np.ndarray) -> np.ndarray:
@@ -253,7 +270,6 @@ def _graph_passes(gs: GraphStrategy, cfg: TrialConfig) -> int:
     iid = _source_mode(cfg, d, 2)
     kets = [k.amplitudes for _, k in cfg.source]
     comps = len(kets)
-    source = _StepLookup(np.cumsum([w for w, _ in cfg.source])[:-1])
 
     accepted = np.zeros(d * d, dtype=bool)
     accepted[parity_accept_indices(gs.graph) * d + np.arange(d)] = True
@@ -264,11 +280,7 @@ def _graph_passes(gs: GraphStrategy, cfg: TrialConfig) -> int:
     codes = np.empty(0, dtype=np.uint8)
     exact: list[tuple[bool, np.ndarray]] = []
     passes = 0
-    for words in _word_blocks(cfg):
-        keys = source.count(words[:, 0])
-        if iid:
-            keys *= comps
-            keys += source.count(words[:, 1])
+    for words, keys in _source_blocks(cfg, iid):
         for key in np.flatnonzero((np.bincount(keys, minlength=num_keys) > 0) & (slots < 0)):
             if iid:
                 a, b = kets[key // comps], kets[key % comps]
@@ -296,7 +308,7 @@ def _graph_passes(gs: GraphStrategy, cfg: TrialConfig) -> int:
                 accept_first, ticks = exact[row]
                 odd = np.searchsorted(ticks, mantissas[held == row], side="right") & 1
                 passes += int(np.count_nonzero(odd != accept_first))
-        del keys, index, code  # free the per-row arrays before the next block is drawn
+        del index, code  # free the per-row arrays before the next block is drawn
     return passes
 
 
@@ -308,8 +320,6 @@ def _decomposition_passes(s: Strategy, cfg: TrialConfig) -> int:
             "provide composite components"
         )
     kets = [k.amplitudes for _, k in cfg.source]
-    comps = len(kets)
-    source = _StepLookup(np.cumsum([w for w, _ in cfg.source])[:-1])
 
     tests = [t.entries for _, t in s.decomposition]
     test_lookup = _StepLookup(np.cumsum([p for p, _ in s.decomposition])[:-1])
@@ -324,11 +334,7 @@ def _decomposition_passes(s: Strategy, cfg: TrialConfig) -> int:
     accept = _ticks(table).reshape(-1)
 
     passes = 0
-    for words in _word_blocks(cfg):
-        keys = source.count(words[:, 0])
-        if pairs:
-            keys *= comps
-            keys += source.count(words[:, 1])
+    for words, keys in _source_blocks(cfg, pairs):
         keys *= len(tests)
         keys += test_lookup.count(words[:, 2])
         passes += int(np.count_nonzero(_mantissas(words[:, 3]) < accept[keys]))
@@ -385,8 +391,8 @@ def worst_case_oracle(s: Strategy, epsilon: float) -> WorstCaseReport:
     deterministic random starts. All runs advance together as rows of one
     stack, pair-major; each row stops once its objective changes by less than
     _ORACLE_TOL, or after _ORACLE_MAX_ITERS sweeps. Ties resolve to the
-    earliest run, so the result is reproducible. Besides Omega, no array
-    holds more than rows * dim^2 entries.
+    earliest run, so the result is reproducible. Besides Omega and one
+    reordered copy of it, no array holds more than rows * dim^2 entries.
     """
     if s.copies != 2:
         raise ValueError(f"oracle needs a two-copy strategy, got copies = {s.copies}")
@@ -403,7 +409,7 @@ def worst_case_oracle(s: Strategy, epsilon: float) -> WorstCaseReport:
     width = comp.shape[1]
     if width == 0:
         raise ValueError("target space has no orthogonal directions to fake")
-    omega4 = om.reshape(d, d, d, d)
+    omega_pairs = om.reshape(d, d, d, d).transpose(1, 3, 0, 2).reshape(d * d, d * d)
 
     if not epsilon < _ORACLE_PROBE_BOUND:
         raise ValueError(f"epsilon = {epsilon} is not below the probe bound {_ORACLE_PROBE_BOUND}")
@@ -418,7 +424,7 @@ def worst_case_oracle(s: Strategy, epsilon: float) -> WorstCaseReport:
     a, b = np.repeat(np.array(pairs), _ORACLE_STARTS, axis=0).T
     tiles = (len(pairs), 1)
     value, x, y, sweeps, converged = _alternate(
-        omega4, psi, comp, a, b, np.tile(x_starts, tiles), np.tile(y_starts, tiles)
+        omega_pairs, psi, comp, a, b, np.tile(x_starts, tiles), np.tile(y_starts, tiles)
     )
     best = int(np.argmax(value))
     value = float(value[best])
@@ -446,28 +452,38 @@ def _fake_rows(psi: np.ndarray, comp: np.ndarray, infid: np.ndarray, perp: np.nd
     return np.sqrt(1.0 - infid)[:, None] * psi + np.sqrt(infid)[:, None] * (perp @ comp.T)
 
 
-def _alternate(omega4, psi, comp, a, b, x, y):
+def _alternate(omega_pairs, psi, comp, a, b, x, y):
     """Alternating sphere maximizations for every row (a, b, x0, y0) at once.
 
     A sweep maximizes over x with y held, then over y with x held, on the
     rows still active. A row leaves at the first sweep whose objective moves
     by less than _ORACLE_TOL and keeps its x, y, value and sweep count.
     Returns (value, x, y, sweeps, converged), one entry per row.
+
+    Row (j, l), column (i, k) of omega_pairs holds Omega[i j, k l]. Since
+    Omega commutes with the copy swap, the operator restricted to one copy
+    with the other copy's fake v held is sum_jl conj(v_j) v_l Omega[i j, k l]
+    on either side: the outer products of the v rows times omega_pairs.
     """
     x, y = x.copy(), y.copy()
     value = np.full(len(a), -np.inf)
     sweeps = np.full(len(a), _ORACLE_MAX_ITERS)
     converged = np.zeros(len(a), dtype=bool)
     live = np.arange(len(a))
+    d = len(psi)
     comp_h = comp.conj().T
+
+    def restricted(fakes: np.ndarray) -> np.ndarray:
+        outer = fakes.conj()[:, :, None] * fakes[:, None, :]
+        return (outer.reshape(-1, d * d) @ omega_pairs).reshape(-1, d, d)
+
+    second = _fake_rows(psi, comp, b, y)
     for sweep in range(1, _ORACLE_MAX_ITERS + 1):
         a_live, b_live = a[live], b[live]
-        second = _fake_rows(psi, comp, b_live, y[live])
-        m_first = np.einsum("rj,ijkl,rl->rik", second.conj(), omega4, second)
+        m_first = restricted(second)
         x[live] = _sphere_max(a_live, comp_h @ m_first @ comp, (m_first @ psi) @ comp.conj())
 
-        first = _fake_rows(psi, comp, a_live, x[live])
-        m_second = np.einsum("ri,ijkl,rk->rjl", first.conj(), omega4, first)
+        m_second = restricted(_fake_rows(psi, comp, a_live, x[live]))
         y[live] = _sphere_max(b_live, comp_h @ m_second @ comp, (m_second @ psi) @ comp.conj())
 
         second = _fake_rows(psi, comp, b_live, y[live])
@@ -476,7 +492,7 @@ def _alternate(omega4, psi, comp, a, b, x, y):
         value[live] = current
         sweeps[live[done]] = sweep
         converged[live[done]] = True
-        live = live[~done]
+        live, second = live[~done], second[~done]
         if not live.size:
             break
     return value, x, y, sweeps, converged

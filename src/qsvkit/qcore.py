@@ -13,7 +13,8 @@ Conventions
 - Structural checks (hermiticity, normalization) use fixed absolute
   tolerances of 1e-12 or 1e-10.
 - Dense operators are refused above side DENSE_DIM_CAP; past that size the
-  matrix-free path is mandatory.
+  matrix-free path is mandatory. dense_power is the one rule for a tensor
+  power's size: it refuses one past the cap without forming it.
 - Values are treated as immutable after construction and every operation is a
   pure function, so everything here is safe to share across workers.
 """
@@ -164,6 +165,18 @@ def max_eigenvalue_matfree(
     raise RuntimeError(
         f"power iteration did not converge within {max_iters} applications (best {best:.6e})"
     )
+
+
+def dense_power(base: int, exponent: int, what: str) -> int:
+    """base ** exponent, refused as ``what`` past DENSE_DIM_CAP.
+
+    Every base >= 2 passes the cap once the exponent passes the cap's bit
+    length less one, so such an exponent is refused for any base before the
+    power is formed; a huge exponent is never raised to or printed.
+    """
+    if exponent > DENSE_DIM_CAP.bit_length() - 1 or base**exponent > DENSE_DIM_CAP:
+        raise ValueError(f"{what} exceeds cap {DENSE_DIM_CAP}")
+    return base**exponent
 
 
 def walsh_signs(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from qsvkit import cli, montecarlo
-from qsvkit.cli import RunConfig, main, parse_theta_grid
+from qsvkit.cli import main, parse_theta_grid
 from qsvkit.qcore import Ket, Operator
 from qsvkit.strategy import Strategy, reference_bell_artifacts, strategy_to_json
 
@@ -41,31 +41,63 @@ def run_json(capsys, argv):
 
 
 # ---------------------------------------------------------------------
-# Configuration validation
+# Flag validation
 # ---------------------------------------------------------------------
 
-def test_run_config_validation():
-    RunConfig("analyze")
-    with pytest.raises(ValueError, match="unknown command"):
-        RunConfig("solve")
-    with pytest.raises(ValueError, match="epsilon"):
-        RunConfig("analyze", epsilon=1.0)
-    with pytest.raises(ValueError, match="delta"):
-        RunConfig("analyze", delta=0.0)
-    with pytest.raises(ValueError, match="at least 2 steps"):
-        RunConfig("curves", theta_grid=(0.1, 0.2, 1))
-    with pytest.raises(ValueError, match="outside the open"):
-        RunConfig("curves", theta_grid=(0.0, 0.2, 5))
-    with pytest.raises(ValueError, match="outside the open"):
-        RunConfig("curves", theta_grid=(0.1, 1.0, 5))
-    with pytest.raises(ValueError, match="format"):
-        RunConfig("analyze", format="yaml")
-    with pytest.raises(ValueError, match="figure"):
-        RunConfig("curves", figure="fig9")
-    with pytest.raises(ValueError, match="seed"):
-        RunConfig("simulate", seed=-3)
-    with pytest.raises(ValueError, match="trials"):
-        RunConfig("simulate", trials=0)
+GRAPH_FLAG = "--graph={graph}"
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        pytest.param(["analyze", GRAPH_FLAG, "--epsilon", "1.0"], "epsilon", id="epsilon"),
+        pytest.param(["analyze", GRAPH_FLAG, "--delta", "0"], "delta", id="delta"),
+        pytest.param(["curves", "--figure", "fig4", "--theta-grid", "0.1:0.2:1"], "theta grid",
+                     id="theta-steps"),
+        pytest.param(["curves", "--figure", "fig4", "--theta-grid", "0.0:0.2:5"], "theta grid",
+                     id="theta-start"),
+        pytest.param(["curves", "--figure", "fig4", "--theta-grid", "0.1:1.0:5"], "theta grid",
+                     id="theta-stop"),
+        pytest.param(["curves", "--figure", "fig4", "--theta-grid", "0.1:x:3"], "theta grid",
+                     id="theta-syntax"),
+        pytest.param(["simulate", GRAPH_FLAG, "--seed", "-3"], "seed", id="seed-negative"),
+        pytest.param(["simulate", GRAPH_FLAG, "--seed", str(2**64)], "seed", id="seed-wide"),
+        pytest.param(["simulate", GRAPH_FLAG, "--trials", "0"], "trials", id="trials"),
+        pytest.param(["analyze"], "--graph", id="no-input"),
+        pytest.param(["simulate", GRAPH_FLAG, "--strategy={graph}"], "--strategy", id="both-inputs"),
+    ],
+)
+def test_flag_defect_exits_2_with_one_line_naming_the_flag(tmp_path, capsys, argv, flag):
+    graph = write_graph(tmp_path)
+    assert main([arg.format(graph=graph) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert flag in lines[0]
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, first",
+    [
+        (["curves", "--figure", "fig4", "--theta-grid", "0.1:x:3", "--epsilon", "2"], "A:B:N"),
+        (["analyze", "--epsilon", "2", "--delta", "2"], "epsilon"),
+        (["curves", "--figure", "fig4", "--theta-grid", "0.1:1.0:5", "--delta", "2"], "delta"),
+        (["simulate", "--seed", "-1", "--trials", "0"], "seed"),
+        (["simulate", "--trials", "0"], "trials"),
+    ],
+)
+def test_the_first_flag_defect_is_the_one_reported(capsys, argv, first):
+    assert main(argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and first in lines[0]
+
+
+@pytest.mark.parametrize("argv", [["analyze", "--format", "yaml"], ["solve"]])
+def test_unknown_format_or_command_exits_via_argparse(argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
 
 
 def test_parse_theta_grid():

@@ -49,6 +49,12 @@ def test_ghz_ket_supports_only_diagonal_strings():
     assert three.dims == (2, 2, 2)
 
 
+@pytest.mark.parametrize("n", [14, 10**6])
+def test_ghz_ket_refuses_a_state_past_the_dense_cap(n):
+    with pytest.raises(ValueError, match="cap"):
+        ghz_ket(GhzSpec(n, 2, [1.0, 0.0]))
+
+
 def test_tensor_power_spec_values_and_cap():
     spec = GhzSpec(2, 2, np.sqrt([0.7, 0.3]))
     powered = tensor_power_spec(spec, 2)

@@ -14,6 +14,7 @@ from qsvkit.qcore import (
     Ket,
     Operator,
     bell_ket,
+    dense_power,
     first_complement_vector,
     max_eigenvalue_matfree,
     orthonormal_complement,
@@ -57,6 +58,14 @@ def test_operator_validates_shape_cap_and_tag():
     with pytest.raises(ValueError, match="hermitian"):
         Operator(skew, (2,), hermitian=True)
     Operator(skew, (2,))  # untagged is fine
+
+
+def test_dense_power_admits_the_cap_and_refuses_past_it():
+    assert dense_power(2, 13, "x") == DENSE_DIM_CAP
+    assert dense_power(90, 2, "x") == 8100
+    for base, exponent in [(2, 14), (91, 2), (3, 9), (1, 14), (2, 10**18)]:
+        with pytest.raises(ValueError, match=f"^{base}\\^{exponent} exceeds cap {DENSE_DIM_CAP}$"):
+            dense_power(base, exponent, f"{base}^{exponent}")
 
 
 # ---------------------------------------------------------------------
