@@ -12,7 +12,10 @@ five mutually unbiased bases of the two-qubit space: one party measures a
 basis drawn with fixed weights, announces the outcome, and the other party
 accepts exactly the matching reduced state. Both parties initiate with equal
 probability; the resulting operator fixes the target and has second-largest
-eigenvalue cos^2(theta) / (2 + cos^2(theta)).
+eigenvalue cos^2(theta) / (2 + cos^2(theta)). The ten tests (five bases, two
+initiating parties) are built together: each is W W' over its columns
+u (x) v or v (x) u, one per basis vector u and its reduced state v, and
+Omega is their weighted sum.
 
 The sorted coefficients of k regrouped copies are all k-fold products of
 the s_j, d^k of them; n_de_k never lists them and evaluates the top two in
@@ -61,9 +64,9 @@ class GhzSpec:
             raise ValueError(f"coefficient square-sum {total} is not 1")
 
 
-# The five mutually unbiased bases of the two-qubit space, one table each:
-# rows are basis vectors over |00>, |01>, |10>, |11>.
-_MUB_TABLES: list[np.ndarray] = [
+# The five mutually unbiased bases of the two-qubit space, stacked: entry
+# [l, k] is vector k of basis l over |00>, |01>, |10>, |11>.
+_MUB_TABLES: np.ndarray = np.stack([
     np.eye(4, dtype=complex),
     np.array(
         [[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, -1, 1], [1, -1, 1, -1]], dtype=complex
@@ -84,7 +87,7 @@ _MUB_TABLES: list[np.ndarray] = [
         dtype=complex,
     )
     / 2.0,
-]
+])
 
 
 # =====================================================================
@@ -150,7 +153,8 @@ def mub_strategy_d4(theta: float) -> Strategy:
     each unbiased basis, and the other party accepts the matching reduced
     state; basis vectors with zero overlap against the target reject
     outright. theta must lie strictly inside (0, pi/4) so the coefficient
-    ordering stays non-degenerate.
+    ordering stays non-degenerate. The decomposition lists the ten tests
+    basis by basis, the first party's measurement before the second's.
     """
     if not 0.0 < theta < math.pi / 4.0:
         raise ValueError(f"theta = {theta} outside the open interval (0, pi/4)")
@@ -162,26 +166,23 @@ def mub_strategy_d4(theta: float) -> Strategy:
     target = Ket(psi, (4, 4))
 
     p0 = (coeffs[0] ** 2 + coeffs[1] ** 2) / (2.0 + coeffs[0] ** 2 + coeffs[1] ** 2)
-    weights = [p0] + [(1.0 - p0) / 4.0] * 4
+    # Tests 2l and 2l + 1 are basis l measured by the first or the second party.
+    weights = np.repeat([p0] + [(1.0 - p0) / 4.0] * 4, 2) / 2.0
 
-    decomposition: list[tuple[float, Operator]] = []
-    omega = np.zeros((16, 16), dtype=complex)
-    for weight, table in zip(weights, _MUB_TABLES):
-        first = np.zeros((16, 16), dtype=complex)
-        second = np.zeros((16, 16), dtype=complex)
-        for u in table:
-            reduced = coeffs * u.conj()
-            norm = float(np.linalg.norm(reduced))
-            if norm <= 1e-12:
-                continue
-            v = reduced / norm
-            pu = np.outer(u, u.conj())
-            pv = np.outer(v, v.conj())
-            first += np.kron(pu, pv)
-            second += np.kron(pv, pu)
-        for half in (first, second):
-            test = Operator((half + half.conj().T) / 2.0, (4, 4), hermitian=True)
-            decomposition.append((weight / 2.0, test))
-            omega += (weight / 2.0) * test.entries
-    omega = (omega + omega.conj().T) / 2.0
+    # The reduced state v of each basis vector u; the norm is summed the way
+    # np.linalg.norm sums one vector, and a vector without overlap keeps v = 0.
+    reduced = coeffs * _MUB_TABLES.conj()
+    norm = np.sqrt(np.vecdot(reduced.real, reduced.real) + np.vecdot(reduced.imag, reduced.imag))
+    overlaps = norm > 1e-12
+    v = np.where(overlaps[..., None], reduced / np.where(overlaps, norm, 1.0)[..., None], 0.0)
+
+    # Column k of test 2l is u_k (x) v_k, of test 2l + 1 v_k (x) u_k; each test
+    # is W W' over its columns W, Hermitian as formed: entries [i, j] and
+    # [j, i] sum the same products, conjugated, and so does Omega.
+    uv = _MUB_TABLES[..., :, None] * v[..., None, :]
+    vu = v[..., :, None] * _MUB_TABLES[..., None, :]
+    columns = np.stack([uv, vu], axis=1).reshape(10, 4, 16)
+    tests = np.einsum("tki,tkj->tij", columns, columns.conj())
+    omega = np.sum(weights[:, None, None] * tests, axis=0)
+    decomposition = [(w, Operator(t, (4, 4), hermitian=True)) for w, t in zip(weights, tests)]
     return Strategy(Operator(omega, (4, 4), hermitian=True), target, 1, decomposition)

@@ -32,13 +32,15 @@ sqrt(1 - e) psi + sqrt(e) perp by sweeping both infidelities over a
 geometric grid and, for each pair and random start, alternating exact
 unit-sphere maximizations of the objective in one orthogonal component with
 the other held fixed. Every (pair, start) run is one row of a stack, and all
-rows advance together one sweep at a time: one matrix product with a
-reordered copy of Omega gives each row's restricted operator on either side
-(Omega commutes with the copy swap), one stacked eigendecomposition solves
-every row's quadratic-plus-linear sphere problem (the plain top eigenvector
-whenever the linear term vanishes, the hard case and the secular equation
-picked by row masks), and a row leaves the stack once its objective settles.
-The oracle shares no formulas with the two-copy analysis it cross-checks.
+rows advance together one sweep at a time: one product of the rows' held
+fakes with K, Omega's copy-pair blocks folded once per call onto the target
+and its complement, gives each row's quadratic, linear and constant terms
+on either side (Omega commutes with the copy swap), one stacked
+eigendecomposition solves every row's quadratic-plus-linear sphere problem
+(the plain top eigenvector whenever the linear term vanishes, the hard case
+and the secular equation picked by row masks), and a row leaves the stack
+once its objective settles. The oracle shares no formulas with the two-copy
+analysis it cross-checks.
 """
 
 from __future__ import annotations
@@ -73,7 +75,7 @@ _BUCKETS = 1 << 16
 # Per-bucket graph decision codes; 0 is fail.
 _PASS, _RESOLVE = 1, 2
 
-# Complex entries per column block of the Bell-table transform.
+# Entries per column block of the Bell-table transform.
 _TABLE_BLOCK_ENTRIES = 1 << 20
 
 # =====================================================================
@@ -230,6 +232,8 @@ def _bell_table(n: int, pair: Callable[[np.ndarray, np.ndarray], np.ndarray]) ->
     [z, x] of the table is |sum_r (-1)^popcount(z & r) pair[r, r ^ x]|^2 / d,
     computed one block of columns at a time by an in-place fast
     Walsh-Hadamard transform over r, so no d x d Hadamard matrix is formed.
+    The transform runs in the dtype pair returns: real entries give the same
+    table as their complex form, at half the arithmetic.
     """
     # Shares no code with graph_strategy's accept-ket rows, so the sampler's
     # cross-check stays independent.
@@ -268,7 +272,10 @@ def _graph_passes(gs: GraphStrategy, cfg: TrialConfig) -> int:
     n = gs.graph.n
     d = 1 << n
     iid = _source_mode(cfg, d, 2)
+    # A ket with no imaginary part stays real, so its Bell tables are
+    # transformed in real arithmetic; the table is the same.
     kets = [k.amplitudes for _, k in cfg.source]
+    kets = [ket.real if not ket.imag.any() else ket for ket in kets]
     comps = len(kets)
 
     accepted = np.zeros(d * d, dtype=bool)
@@ -281,7 +288,11 @@ def _graph_passes(gs: GraphStrategy, cfg: TrialConfig) -> int:
     exact: list[tuple[bool, np.ndarray]] = []
     passes = 0
     for words, keys in _source_blocks(cfg, iid):
-        for key in np.flatnonzero((np.bincount(keys, minlength=num_keys) > 0) & (slots < 0)):
+        # Keys drawn for the first time; the census stops once every key has its row.
+        missing = slots < 0
+        if missing.any():
+            missing &= np.bincount(keys, minlength=num_keys) > 0
+        for key in np.flatnonzero(missing):
             if iid:
                 a, b = kets[key // comps], kets[key % comps]
                 probs = _bell_table(n, lambda r, s: a[r] * b[s])
@@ -391,8 +402,9 @@ def worst_case_oracle(s: Strategy, epsilon: float) -> WorstCaseReport:
     deterministic random starts. All runs advance together as rows of one
     stack, pair-major; each row stops once its objective changes by less than
     _ORACLE_TOL, or after _ORACLE_MAX_ITERS sweeps. Ties resolve to the
-    earliest run, so the result is reproducible. Besides Omega and one
-    reordered copy of it, no array holds more than rows * dim^2 entries.
+    earliest run, so the result is reproducible. Besides Omega, K (dim^2 rows
+    of dim^2 - dim + 1 terms) and the dim^4-entry products that build it, no
+    array holds more than rows * dim^2 entries.
     """
     if s.copies != 2:
         raise ValueError(f"oracle needs a two-copy strategy, got copies = {s.copies}")
@@ -409,7 +421,6 @@ def worst_case_oracle(s: Strategy, epsilon: float) -> WorstCaseReport:
     width = comp.shape[1]
     if width == 0:
         raise ValueError("target space has no orthogonal directions to fake")
-    omega_pairs = om.reshape(d, d, d, d).transpose(1, 3, 0, 2).reshape(d * d, d * d)
 
     if not epsilon < _ORACLE_PROBE_BOUND:
         raise ValueError(f"epsilon = {epsilon} is not below the probe bound {_ORACLE_PROBE_BOUND}")
@@ -424,7 +435,7 @@ def worst_case_oracle(s: Strategy, epsilon: float) -> WorstCaseReport:
     a, b = np.repeat(np.array(pairs), _ORACLE_STARTS, axis=0).T
     tiles = (len(pairs), 1)
     value, x, y, sweeps, converged = _alternate(
-        omega_pairs, psi, comp, a, b, np.tile(x_starts, tiles), np.tile(y_starts, tiles)
+        om, psi, comp, a, b, np.tile(x_starts, tiles), np.tile(y_starts, tiles)
     )
     best = int(np.argmax(value))
     value = float(value[best])
@@ -452,7 +463,24 @@ def _fake_rows(psi: np.ndarray, comp: np.ndarray, infid: np.ndarray, perp: np.nd
     return np.sqrt(1.0 - infid)[:, None] * psi + np.sqrt(infid)[:, None] * (perp @ comp.T)
 
 
-def _alternate(omega_pairs, psi, comp, a, b, x, y):
+def _sweep_terms(omega: np.ndarray, psi: np.ndarray, comp: np.ndarray) -> np.ndarray:
+    """K, whose rows (j, l) hold the terms of the copy-pair block Omega_jl.
+
+    Omega_jl is the d x d matrix [i, k] -> Omega[i j, k l]. Row (j, l) of K is
+    comp' Omega_jl [psi comp] flattened (the w x (w + 1) block whose column 0
+    is comp' Omega_jl psi), then psi' Omega_jl psi, where w = d - 1 is the
+    width of comp. Two GEMMs against the unitary [psi comp] build it.
+    """
+    d, width = len(psi), comp.shape[1]
+    basis = np.column_stack([psi, comp])
+    blocks = omega.reshape(d, d, d, d).transpose(1, 3, 0, 2).reshape(d**3, d)
+    right = (blocks @ basis).reshape(d * d, d, d).transpose(0, 2, 1).reshape(d**3, d)
+    # rotated[jl, m, n] = ([psi comp]' Omega_jl [psi comp])[m, n]
+    rotated = (right @ basis.conj()).reshape(d * d, d, d).transpose(0, 2, 1)
+    return np.concatenate([rotated[:, 1:, :].reshape(d * d, width * d), rotated[:, :1, 0]], axis=1)
+
+
+def _alternate(omega, psi, comp, a, b, x, y):
     """Alternating sphere maximizations for every row (a, b, x0, y0) at once.
 
     A sweep maximizes over x with y held, then over y with x held, on the
@@ -460,39 +488,46 @@ def _alternate(omega_pairs, psi, comp, a, b, x, y):
     by less than _ORACLE_TOL and keeps its x, y, value and sweep count.
     Returns (value, x, y, sweeps, converged), one entry per row.
 
-    Row (j, l), column (i, k) of omega_pairs holds Omega[i j, k l]. Since
-    Omega commutes with the copy swap, the operator restricted to one copy
-    with the other copy's fake v held is sum_jl conj(v_j) v_l Omega[i j, k l]
-    on either side: the outer products of the v rows times omega_pairs.
+    With the other copy's fake v held, the operator on one copy is
+    M = sum_jl conj(v_j) v_l Omega_jl on either side, since Omega commutes
+    with the copy swap. Its sphere problem needs only comp' M comp,
+    comp' M psi and psi' M psi, which the outer products of the v rows
+    times K (_sweep_terms) give in one product.
     """
     x, y = x.copy(), y.copy()
     value = np.full(len(a), -np.inf)
     sweeps = np.full(len(a), _ORACLE_MAX_ITERS)
     converged = np.zeros(len(a), dtype=bool)
     live = np.arange(len(a))
-    d = len(psi)
-    comp_h = comp.conj().T
+    d, width = comp.shape
+    terms = _sweep_terms(omega, psi, comp)
 
-    def restricted(fakes: np.ndarray) -> np.ndarray:
+    def held(infid: np.ndarray, perp: np.ndarray):
+        """(quad, cross, const) of each row's operator with that row's fake held."""
+        fakes = _fake_rows(psi, comp, infid, perp)
         outer = fakes.conj()[:, :, None] * fakes[:, None, :]
-        return (outer.reshape(-1, d * d) @ omega_pairs).reshape(-1, d, d)
+        rows = outer.reshape(-1, d * d) @ terms
+        blocks = rows[:, :-1].reshape(-1, width, d)
+        return blocks[:, :, 1:], blocks[:, :, 0], rows[:, -1].real
 
-    second = _fake_rows(psi, comp, b, y)
     for sweep in range(1, _ORACLE_MAX_ITERS + 1):
         a_live, b_live = a[live], b[live]
-        m_first = restricted(second)
-        x[live] = _sphere_max(a_live, comp_h @ m_first @ comp, (m_first @ psi) @ comp.conj())
+        quad, cross, _ = held(b_live, y[live])
+        x[live] = _sphere_max(a_live, quad, cross)
 
-        m_second = restricted(_fake_rows(psi, comp, a_live, x[live]))
-        y[live] = _sphere_max(b_live, comp_h @ m_second @ comp, (m_second @ psi) @ comp.conj())
+        quad, cross, const = held(a_live, x[live])
+        y_live = _sphere_max(b_live, quad, cross)
+        y[live] = y_live
 
-        second = _fake_rows(psi, comp, b_live, y[live])
-        current = np.real(np.einsum("rj,rjl,rl->r", second.conj(), m_second, second))
+        # The second fake's pass probability, in the terms of its sphere problem.
+        lifted = b_live[:, None] * (quad @ y_live[:, :, None])[:, :, 0]
+        lifted += 2.0 * np.sqrt(b_live * (1.0 - b_live))[:, None] * cross
+        current = (1.0 - b_live) * const + np.real(np.sum(y_live.conj() * lifted, axis=1))
         done = np.abs(current - value[live]) < _ORACLE_TOL
         value[live] = current
         sweeps[live[done]] = sweep
         converged[live[done]] = True
-        live, second = live[~done], second[~done]
+        live = live[~done]
         if not live.size:
             break
     return value, x, y, sweeps, converged

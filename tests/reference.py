@@ -3,8 +3,9 @@
 Each function states a rule in its slow, literal form, apart from the
 vectorized or closed forms in the package: parity codes one code at a time,
 the protocol's accept decision as a comparison of codes, the per-verifier
-pair order bit by bit, regrouped tensor powers by listing every product, and
-the worst-case oracle's search one run and one sphere problem at a time.
+pair order bit by bit, regrouped tensor powers by listing every product, the
+MUB strategy's tests as sums of Kronecker products one basis vector at a time,
+and the worst-case oracle's search one run and one sphere problem at a time.
 Tests check the package against these, and these on hand examples.
 """
 
@@ -13,9 +14,9 @@ import math
 import numpy as np
 
 from qsvkit import montecarlo
-from qsvkit.ghz import GhzSpec
+from qsvkit.ghz import _MUB_TABLES, GhzSpec
 from qsvkit.graphs import Graph, GraphCode
-from qsvkit.qcore import DENSE_DIM_CAP, orthonormal_complement
+from qsvkit.qcore import DENSE_DIM_CAP, Ket, Operator, orthonormal_complement
 from qsvkit.strategy import Strategy
 
 
@@ -69,6 +70,41 @@ def tensor_power_spec(spec: GhzSpec, k: int) -> GhzSpec:
     for _ in range(k):
         prods = np.kron(prods, spec.coeffs)
     return GhzSpec(spec.n, size, np.sort(prods)[::-1])
+
+
+def mub_strategy_kron_sum(theta: float) -> Strategy:
+    """mub_strategy_d4(theta), each test summed as kron(|u><u|, |v><v|) per basis vector u."""
+    c = math.cos(theta)
+    s = math.sin(theta)
+    coeffs = np.array([c * c, c * s, c * s, s * s])
+    psi = np.zeros(16, dtype=complex)
+    psi[[0, 5, 10, 15]] = coeffs
+    target = Ket(psi, (4, 4))
+
+    p0 = (coeffs[0] ** 2 + coeffs[1] ** 2) / (2.0 + coeffs[0] ** 2 + coeffs[1] ** 2)
+    weights = [p0] + [(1.0 - p0) / 4.0] * 4
+
+    decomposition: list[tuple[float, Operator]] = []
+    omega = np.zeros((16, 16), dtype=complex)
+    for weight, table in zip(weights, _MUB_TABLES):
+        first = np.zeros((16, 16), dtype=complex)
+        second = np.zeros((16, 16), dtype=complex)
+        for u in table:
+            reduced = coeffs * u.conj()
+            norm = float(np.linalg.norm(reduced))
+            if norm <= 1e-12:
+                continue
+            v = reduced / norm
+            pu = np.outer(u, u.conj())
+            pv = np.outer(v, v.conj())
+            first += np.kron(pu, pv)
+            second += np.kron(pv, pu)
+        for half in (first, second):
+            test = Operator((half + half.conj().T) / 2.0, (4, 4), hermitian=True)
+            decomposition.append((weight / 2.0, test))
+            omega += (weight / 2.0) * test.entries
+    omega = (omega + omega.conj().T) / 2.0
+    return Strategy(Operator(omega, (4, 4), hermitian=True), target, 1, decomposition)
 
 
 def sphere_max(mix: float, quad: np.ndarray, cross: np.ndarray) -> np.ndarray:

@@ -7,7 +7,7 @@ import pytest
 
 from qsvkit.ghz import _MUB_TABLES, GhzSpec, ghz_ket, lambda2_lhz, mub_strategy_d4, n_de_k
 from qsvkit.strategy import lambda2, single_copy_complexity
-from reference import tensor_power_spec
+from reference import mub_strategy_kron_sum, tensor_power_spec
 
 
 BELL_SPEC = GhzSpec(2, 2, np.sqrt([0.5, 0.5]))
@@ -208,6 +208,18 @@ def test_mub_strategy_decomposition_shape():
     assert len(strat.decomposition) == 10
     total = sum(p for p, _ in strat.decomposition)
     assert abs(total - 1.0) < 1e-12
+
+
+def test_mub_strategy_matches_the_kron_sum_reference_bit_for_bit():
+    # 1e-13 and 1e-7 leave computational-basis vectors without overlap.
+    grid = [1e-13, 1e-7, 0.05, 0.2, 0.3, 0.5, 0.7, math.pi / 4.0 - 1e-9]
+    for theta in grid + list(np.linspace(0.01, 0.78, 32)):
+        built, reference = mub_strategy_d4(theta), mub_strategy_kron_sum(theta)
+        assert np.array_equal(built.omega.entries, reference.omega.entries), theta
+        assert len(built.decomposition) == len(reference.decomposition) == 10
+        for (p, test), (p_ref, test_ref) in zip(built.decomposition, reference.decomposition):
+            assert p == p_ref, theta
+            assert np.array_equal(test.entries, test_ref.entries), theta
 
 
 def test_mub_strategy_theta_domain():

@@ -18,7 +18,7 @@ from qsvkit.montecarlo import (
 )
 from qsvkit.qcore import Ket, Operator, bell_ket, orthonormal_complement
 from qsvkit.strategy import Strategy, reference_bell_artifacts
-from reference import sphere_max, worst_case_search
+from reference import alternate, sphere_max, worst_case_search
 
 
 PATH2 = Graph(2, [(1, 2)])
@@ -202,6 +202,23 @@ def test_bell_table_matches_the_hadamard_product(monkeypatch, n, block):
         gathered = matrix[rows[:, None], rows[None, :] ^ rows[:, None]]
         reference = np.abs((hadamard @ gathered / np.sqrt(d)).reshape(-1)) ** 2
         assert np.max(np.abs(table - reference)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_real_kets_give_the_complex_bell_table(n):
+    d = 1 << n
+    target = graph_state(ring(n))
+    perp = orthonormal_complement(target)[:, 0]
+    target = target.amplitudes
+    assert not target.imag.any() and not perp.imag.any()
+    pairs = [(target, target), (target, perp), (perp, target), (perp, perp)]
+    for a, b in pairs:
+        complex_table = montecarlo._bell_table(n, lambda r, s: a[r] * b[s])
+        real_table = montecarlo._bell_table(n, lambda r, s: a.real[r] * b.real[s])
+        assert np.array_equal(real_table, complex_table)
+    pair = np.kron(target, perp).reshape(d, d)
+    complex_table = montecarlo._bell_table(n, lambda r, s: pair[r, s])
+    assert np.array_equal(montecarlo._bell_table(n, lambda r, s: pair.real[r, s]), complex_table)
 
 
 # ---------------------------------------------------------------------
@@ -628,8 +645,50 @@ def _random_product_strategy(seed: int) -> Strategy:
     return Strategy(Operator(np.kron(omega, omega), (2, 2), hermitian=True), target, copies=2)
 
 
+def _coupled_strategy(seed: int, d: int = 3) -> Strategy:
+    """psi psi' (x) psi psi' plus a random swap-symmetric block on its complement.
+
+    Unlike the subjects below, this Omega couples a fake's target part to its
+    orthogonal part, so the sphere problems carry a linear term.
+    """
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    target = Ket(random_unit(gen, d), (d,))
+    pair = np.kron(target.amplitudes, target.amplitudes)
+    swap = np.eye(d * d)[[j * d + i for i in range(d) for j in range(d)]]
+    g = gen.normal(size=(d * d, d * d)) + 1j * gen.normal(size=(d * d, d * d))
+    g = (g + swap @ g @ swap) / 2.0
+    rest = np.eye(d * d) - np.outer(pair, pair.conj())
+    block = rest @ (g @ g.conj().T) @ rest
+    omega = np.outer(pair, pair.conj()) + 0.9 * block / np.linalg.eigvalsh(block)[-1]
+    return Strategy(Operator((omega + omega.conj().T) / 2.0, (d, d), hermitian=True), target, 2)
+
+
+def test_alternate_matches_the_reference_with_a_linear_term(monkeypatch):
+    monkeypatch.setattr(montecarlo, "_ORACLE_MAX_ITERS", 3)
+    s = _coupled_strategy(1)
+    d = s.target.dim
+    psi, comp = s.target.amplitudes, orthonormal_complement(s.target)
+    omega4 = s.omega.entries.reshape(d, d, d, d)
+    gen = np.random.Generator(np.random.Philox(key=7))
+    a, b = np.array([1e-3, 0.01, 0.3, 0.5]), np.array([0.2, 1e-3, 0.05, 0.5])
+    x0, y0 = montecarlo._random_units(gen, 4, d - 1), montecarlo._random_units(gen, 4, d - 1)
+    held = np.sqrt(1.0 - b[0]) * psi + np.sqrt(b[0]) * (comp @ y0[0])
+    m = np.einsum("j,ijkl,l->ik", held.conj(), omega4, held)
+    assert np.linalg.norm(comp.conj().T @ m @ psi) > 1e-2
+    value, x, y, sweeps, converged = montecarlo._alternate(s.omega.entries, psi, comp, a, b, x0, y0)
+    for r in range(len(a)):
+        ref_value, ref_x, ref_y, ref_sweeps, ref_converged = alternate(
+            omega4, psi, comp, a[r], b[r], x0[r], y0[r]
+        )
+        assert abs(value[r] - ref_value) <= 1e-12
+        assert np.max(np.abs(x[r] - ref_x)) <= 1e-9
+        assert np.max(np.abs(y[r] - ref_y)) <= 1e-9
+        assert (sweeps[r], converged[r]) == (ref_sweeps, ref_converged)
+
+
 ORACLE_SUBJECTS = {
     "path2": lambda: omega_graph(PATH2, matrix_free=False).strategy,
+    "ring3": lambda: omega_graph(TRIANGLE, matrix_free=False).strategy,
     "bell-product": bell_product_strategy,
     "random-product-1": lambda: _random_product_strategy(1),
     "random-product-2": lambda: _random_product_strategy(2),
@@ -641,6 +700,7 @@ ORACLE_SUBJECTS = {
     [
         ("path2", 1e-3),
         ("path2", 1e-4),
+        ("ring3", 1e-3),
         ("bell-product", 1e-3),
         ("bell-product", 1e-4),
         ("random-product-1", 1e-3),
