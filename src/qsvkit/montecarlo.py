@@ -3,10 +3,16 @@
 Every trial consumes one fixed row of four raw 64-bit words from a
 counter-based Philox stream keyed by the config seed: (first component draw,
 second component draw, test-or-outcome draw, accept threshold). The rows are
-streamed in blocks of at most _CHUNK_TRIALS and each block is reduced straight
-to a pass count, so memory does not grow with the trial count. A trial's
-result is a pure function of its own row and the per-component tables, so the
-block size and aggregation order cannot change the pass count.
+cut into blocks of at most _CHUNK_TRIALS. Philox makes one row per counter
+value, so the block that starts at row r draws its words from its own
+generator with the counter set to r, and the blocks together equal one draw
+of the whole stream. Each block is reduced straight to a pass count. The first
+block runs in the caller, which builds the tables of the keys it draws; a
+pool of one thread per usable core counts the rest, one block per thread at
+a time, so memory does not grow with the trial count. A trial's result is a
+pure function of its own row and the per-component tables, so the block size,
+the worker count and the order in which blocks finish cannot change the pass
+count.
 
 A word w stands for the uniform u = (w >> 11) * 2^-53 that Generator.random
 makes of it, but u is never formed. With m = w >> 11, cdf <= u holds exactly
@@ -46,8 +52,10 @@ analysis it cross-checks.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -63,8 +71,13 @@ _ORACLE_TOL = 1e-10
 _ORACLE_MAX_ITERS = 500
 _ORACLE_PROBE_BOUND = 0.5
 
-# Trials per block of streamed words (32 B each).
-_CHUNK_TRIALS = 1 << 16
+# Trials per block of words (32 B each); the caller and each worker hold one block at a time.
+_CHUNK_TRIALS = 1 << 15
+
+# Threads that count blocks: one per core this process may run on.
+_WORKERS = (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
 
 # Lookup buckets are the top 16 bits of a word w; each spans 2^37 values of w >> 11.
 _MANTISSA_SHIFT = 11
@@ -120,27 +133,69 @@ class TrialConfig:
             raise ValueError(f"component weights sum to {total}, not 1")
 
 
-def _word_blocks(cfg: TrialConfig) -> Iterator[np.ndarray]:
-    """The (trials, 4) raw word stream in row blocks; together they equal one draw."""
-    bits = np.random.Philox(key=cfg.seed)
-    for start in range(0, cfg.trials, _CHUNK_TRIALS):
-        yield bits.random_raw(4 * min(_CHUNK_TRIALS, cfg.trials - start)).reshape(-1, 4)
+def _block_words(seed: int, start: int, rows: int) -> np.ndarray:
+    """Rows start .. start + rows - 1 of the (trials, 4) raw word stream.
+
+    Philox makes one row of four words per counter value, so a generator
+    whose counter starts at start draws exactly these rows of
+    Philox(key=seed).random_raw(4 * trials).
+    """
+    return np.random.Philox(key=seed, counter=start).random_raw(4 * rows).reshape(rows, 4)
 
 
-def _source_blocks(cfg: TrialConfig, pairs: bool) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Each block of _word_blocks with its rows' source keys.
+def _count_passes(
+    cfg: TrialConfig, pairs: bool, block_passes: Callable[[np.ndarray, np.ndarray], int]
+) -> int:
+    """Sum of block_passes(words, keys) over the row blocks of the trial stream.
 
     A key is the component word 0 draws or, with pairs (an i.i.d. source on
-    two copies), that component * components + the one word 1 draws.
+    two copies), that component * components + the one word 1 draws. The
+    first block runs in the caller, so the tables its keys need are built on
+    this thread. A pool of _WORKERS threads counts the rest, each taking the
+    next block until none is left, so block_passes must be safe to call from
+    several threads at once. A failing block stops the workers after their
+    current blocks, and its exception is raised here.
     """
     comps = len(cfg.source)
     source = _StepLookup(np.cumsum([w for w, _ in cfg.source])[:-1])
-    for words in _word_blocks(cfg):
+
+    def count(start: int) -> int:
+        words = _block_words(cfg.seed, start, min(_CHUNK_TRIALS, cfg.trials - start))
         keys = source.count(words[:, 0])
         if pairs:
             keys *= comps
             keys += source.count(words[:, 1])
-        yield words, keys
+        return block_passes(words, keys)
+
+    passes = count(0)
+    if cfg.trials <= _CHUNK_TRIALS:
+        return passes
+    # Imported here so that `import qsvkit.cli` does not pay for it (about 6 ms).
+    from concurrent.futures import ThreadPoolExecutor
+
+    blocks = iter(range(_CHUNK_TRIALS, cfg.trials, _CHUNK_TRIALS))
+    take, stop = threading.Lock(), threading.Event()
+
+    def drain() -> int:
+        total = 0
+        while not stop.is_set():
+            with take:
+                start = next(blocks, None)
+            if start is None:
+                break
+            try:
+                total += count(start)
+            except BaseException:
+                stop.set()
+                raise
+        return total
+
+    try:
+        with ThreadPoolExecutor(_WORKERS) as pool:
+            futures = [pool.submit(drain) for _ in range(_WORKERS)]
+    finally:
+        stop.set()  # also when the caller is interrupted while it waits
+    return passes + sum(future.result() for future in futures)
 
 
 def _mantissas(words: np.ndarray) -> np.ndarray:
@@ -268,6 +323,22 @@ def _acceptance_flips(probs: np.ndarray, accepted: np.ndarray) -> tuple[bool, np
     return bool(accepted[0]), values[counts % 2 == 1]
 
 
+def _key_codes(
+    n: int, pair: Callable[[np.ndarray, np.ndarray], np.ndarray], accepted: np.ndarray
+) -> tuple[np.ndarray, bool, np.ndarray]:
+    """One key's per-bucket codes, its first outcome's acceptance and its flip ticks.
+
+    A function of its own so that the key's d^2-entry table is freed on
+    return, before the next key's is built.
+    """
+    accept_first, values = _acceptance_flips(_bell_table(n, pair), accepted)
+    step = _StepLookup(values)
+    codes = (step.table & 1).astype(np.uint8)
+    codes ^= accept_first
+    codes[step.table < 0] = _RESOLVE
+    return codes, accept_first, step.ticks
+
+
 def _graph_passes(gs: GraphStrategy, cfg: TrialConfig) -> int:
     n = gs.graph.n
     d = 1 << n
@@ -281,37 +352,39 @@ def _graph_passes(gs: GraphStrategy, cfg: TrialConfig) -> int:
     accepted = np.zeros(d * d, dtype=bool)
     accepted[parity_accept_indices(gs.graph) * d + np.arange(d)] = True
 
-    # A key gets its row of per-bucket codes on first use; slots[key] is that row.
+    def pair(key: int) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+        if iid:
+            a, b = kets[key // comps], kets[key % comps]
+            return lambda r, s: a[r] * b[s]
+        amplitudes = kets[key].reshape(d, d)
+        return lambda r, s: amplitudes[r, s]
+
+    # A key gets its row of _BUCKETS per-bucket codes on first use; slots[key]
+    # is that row. Rows are added under the lock and never change after.
     num_keys = comps * comps if iid else comps
     slots = np.full(num_keys, -1, dtype=np.int64)
     codes = np.empty(0, dtype=np.uint8)
     exact: list[tuple[bool, np.ndarray]] = []
-    passes = 0
-    for words, keys in _source_blocks(cfg, iid):
-        # Keys drawn for the first time; the census stops once every key has its row.
-        missing = slots < 0
-        if missing.any():
-            missing &= np.bincount(keys, minlength=num_keys) > 0
-        for key in np.flatnonzero(missing):
-            if iid:
-                a, b = kets[key // comps], kets[key % comps]
-                probs = _bell_table(n, lambda r, s: a[r] * b[s])
-            else:
-                pair = kets[key].reshape(d, d)
-                probs = _bell_table(n, lambda r, s: pair[r, s])
-            accept_first, values = _acceptance_flips(probs, accepted)
-            step = _StepLookup(values)
-            key_codes = (step.table & 1).astype(np.uint8)
-            key_codes ^= accept_first
-            key_codes[step.table < 0] = _RESOLVE
-            codes = np.concatenate([codes, key_codes])
-            slots[key] = len(exact)
-            exact.append((accept_first, step.ticks))
+    lock = threading.Lock()
+
+    def block_passes(words: np.ndarray, keys: np.ndarray) -> int:
+        nonlocal codes
+        with lock:
+            # Keys drawn for the first time; the census stops once every key has its row.
+            missing = slots < 0
+            if missing.any():
+                missing &= np.bincount(keys, minlength=num_keys) > 0
+            for key in np.flatnonzero(missing):
+                key_codes, accept_first, ticks = _key_codes(n, pair(key), accepted)
+                codes = np.concatenate([codes, key_codes])
+                slots[key] = len(exact)
+                exact.append((accept_first, ticks))
+            table = codes
         index = slots[keys]
         index *= _BUCKETS
         index += _buckets(words[:, 2])
-        code = codes[index]
-        passes += int(np.count_nonzero(code == _PASS))
+        code = table[index]
+        passes = int(np.count_nonzero(code == _PASS))
         resolve = np.flatnonzero(code == _RESOLVE)
         if resolve.size:
             held, mantissas = slots[keys[resolve]], _mantissas(words[resolve, 2])
@@ -319,8 +392,9 @@ def _graph_passes(gs: GraphStrategy, cfg: TrialConfig) -> int:
                 accept_first, ticks = exact[row]
                 odd = np.searchsorted(ticks, mantissas[held == row], side="right") & 1
                 passes += int(np.count_nonzero(odd != accept_first))
-        del index, code  # free the per-row arrays before the next block is drawn
-    return passes
+        return passes
+
+    return _count_passes(cfg, iid, block_passes)
 
 
 def _decomposition_passes(s: Strategy, cfg: TrialConfig) -> int:
@@ -344,12 +418,12 @@ def _decomposition_passes(s: Strategy, cfg: TrialConfig) -> int:
             table[i, l] = float(np.real(state.conj() @ (test @ state)))
     accept = _ticks(table).reshape(-1)
 
-    passes = 0
-    for words, keys in _source_blocks(cfg, pairs):
+    def block_passes(words: np.ndarray, keys: np.ndarray) -> int:
         keys *= len(tests)
         keys += test_lookup.count(words[:, 2])
-        passes += int(np.count_nonzero(_mantissas(words[:, 3]) < accept[keys]))
-    return passes
+        return int(np.count_nonzero(_mantissas(words[:, 3]) < accept[keys]))
+
+    return _count_passes(cfg, pairs, block_passes)
 
 
 def fidelity_experiment(gs: GraphStrategy, ensemble: TrialConfig) -> tuple[float, float]:

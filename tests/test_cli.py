@@ -344,6 +344,15 @@ def test_simulate_graph_samples_once(tmp_path, capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_simulate_reports_a_failing_block_as_one_line(tmp_path, capsys, second_key_refused):
+    argv = ["simulate", "--graph", write_graph(tmp_path), "--epsilon", "0.3", "--trials", "2000"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: second key refused"]
+    assert "Exception in thread" not in err
+    assert second_key_refused[:2] == [False, True]
+
+
 def test_simulate_pure_target_always_passes(tmp_path, capsys):
     code, report = run_json(
         capsys, ["simulate", "--graph", write_graph(tmp_path), "--trials", "5000"]

@@ -1,6 +1,7 @@
 """Monte Carlo protocol sampling and the independent worst-case search."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -136,7 +137,9 @@ def near(rng, values) -> np.ndarray:
 
 
 def sample_words(monkeypatch, subject, source, words) -> int:
-    monkeypatch.setattr(montecarlo, "_word_blocks", lambda cfg: iter([words]))
+    monkeypatch.setattr(
+        montecarlo, "_block_words", lambda seed, start, rows: words[start : start + rows]
+    )
     return simulate_protocol(subject, TrialConfig(len(words), 0, source))[0]
 
 
@@ -449,6 +452,51 @@ def test_pass_counts_do_not_depend_on_the_chunk_size(monkeypatch, chunk):
     default = chunk_invariance_runs()
     monkeypatch.setattr(montecarlo, "_CHUNK_TRIALS", chunk)
     assert chunk_invariance_runs() == default
+
+
+@pytest.mark.parametrize("trials", [1, 2**15 - 1, 2**15, 2**15 + 1, 3 * 2**15 + 7])
+def test_block_words_together_equal_one_draw(monkeypatch, trials):
+    drawn = {}
+    block_words = montecarlo._block_words
+
+    def recording(seed, start, rows):
+        drawn[start] = block_words(seed, start, rows)
+        return drawn[start]
+
+    monkeypatch.setattr(montecarlo, "_block_words", recording)
+    simulate_protocol(bell_product_strategy(), TrialConfig(trials, 2**64 - 5, BELL_MIX))
+    words = np.concatenate([drawn[start] for start in sorted(drawn)])
+    assert np.array_equal(words.reshape(-1), np.random.Philox(key=2**64 - 5).random_raw(4 * trials))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_pass_counts_do_not_depend_on_the_worker_count(monkeypatch, workers):
+    default = chunk_invariance_runs()
+    monkeypatch.setattr(montecarlo, "_WORKERS", workers)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # threads switch often, so an unlocked table update would show
+    try:
+        for name in ["ring4-200003", "ring8-131075", "ring4-composite", "bell-product-composite"]:
+            assert pinned_run(name)[0] == PINNED_PASSES[name]
+        monkeypatch.setattr(montecarlo, "_CHUNK_TRIALS", 7)  # workers build most keys' tables
+        assert chunk_invariance_runs() == default
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_failing_block_raises_in_the_caller(second_key_refused):
+    with pytest.raises(ValueError, match="second key refused"):
+        simulate_protocol(omega_graph(ring(3)), TrialConfig(3000, 5, graph_mix(ring(3), 0.5)))
+    assert second_key_refused[:2] == [False, True]
+
+
+def test_each_key_table_is_freed_before_the_next_is_built():
+    g = ring(10)
+    gs = omega_graph(g)
+    one_key = TrialConfig(20_000, 81, graph_state(g))
+    four_keys = TrialConfig(20_000, 81, graph_mix(g, 0.9))
+    one_peak = traced_peak_mib(lambda: simulate_protocol(gs, one_key))
+    assert traced_peak_mib(lambda: simulate_protocol(gs, four_keys)) <= one_peak + 1.0
 
 
 def test_sampling_memory_does_not_grow_with_the_trial_count():
