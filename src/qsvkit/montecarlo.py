@@ -471,7 +471,7 @@ def worst_case_oracle(s: Strategy, epsilon: float) -> WorstCaseReport:
     Each copy is sqrt(1 - e) psi + sqrt(e) perp with its own infidelity e in
     [epsilon, _ORACLE_PROBE_BOUND] and its own orthogonal component. The infidelity
     pair is swept over a geometric grid of _ORACLE_GRID_POINTS values per
-    side (with the (epsilon, epsilon) corner always included); for each pair,
+    side, starting at the (epsilon, epsilon) corner; for each pair,
     alternating exact sphere maximizations run from _ORACLE_STARTS
     deterministic random starts. All runs advance together as rows of one
     stack, pair-major; each row stops once its objective changes by less than
@@ -499,7 +499,7 @@ def worst_case_oracle(s: Strategy, epsilon: float) -> WorstCaseReport:
     if not epsilon < _ORACLE_PROBE_BOUND:
         raise ValueError(f"epsilon = {epsilon} is not below the probe bound {_ORACLE_PROBE_BOUND}")
     grid = np.geomspace(epsilon, _ORACLE_PROBE_BOUND, _ORACLE_GRID_POINTS)
-    pairs = [(epsilon, epsilon)] + [(a, b) for a in grid for b in grid]
+    pairs = [(a, b) for a in grid for b in grid]
 
     rng = np.random.Generator(np.random.Philox(key=_ORACLE_SEED))
     x_starts = _random_units(rng, _ORACLE_STARTS, width)

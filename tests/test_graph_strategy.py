@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_unit
+from conftest import random_unit, traced_peak_mib
 from graphgen import connected_graphs
 from qsvkit import graph_strategy
 from qsvkit.graph_strategy import (
@@ -231,17 +231,43 @@ def test_frobenius_certificate_does_not_depend_on_the_block_height(monkeypatch, 
     psi = random_unit(rng, 16)
     sigma, sigma_p = (Ket(random_unit(rng, 16), (2,) * 4) for _ in range(2))
     vec = random_unit(rng, 256)
-    one_block = _frobenius_certificate(STAR4, psi)
+    # A real psi takes the rows written over each block's sign buffer.
+    real_psi = rng.normal(size=16)
+    real_psi /= np.linalg.norm(real_psi)
+    one_block = [_frobenius_certificate(STAR4, p) for p in (psi, real_psi)]
     gs = omega_graph(STAR4, matrix_free=False)
     omega = gs.strategy.omega.entries
     pass_one_block = graph_pass_probability(gs, sigma, sigma_p)
     for entries in (16, 48, 100):
         monkeypatch.setattr(graph_strategy, "_BLOCK_ENTRIES", entries)
-        assert abs(_frobenius_certificate(STAR4, psi) - one_block) < 1e-12
+        for p, frob in zip((psi, real_psi), one_block):
+            assert abs(_frobenius_certificate(STAR4, p) - frob) < 1e-12
         assert np.array_equal(omega_graph(STAR4, matrix_free=False).strategy.omega.entries, omega)
         assert np.max(np.abs(apply_omega(gs, vec) - omega @ vec)) < 1e-12
         got = graph_pass_probability(gs, sigma, sigma_p)
         assert max(abs(x - y) for x, y in zip(got, pass_one_block)) < 1e-12
+
+
+def test_frobenius_certificate_agrees_across_dtypes(rng):
+    # A real psi is certified in real arithmetic whether it arrives as float64
+    # or complex128; a global phase sends it through complex arithmetic and
+    # leaves F unchanged.
+    phase = np.exp(0.7j)
+    for n in (1, 2, 3, 4):
+        for g in connected_graphs(n):
+            psi = rng.normal(size=1 << n)
+            psi /= np.linalg.norm(psi)
+            frob = _frobenius_certificate(g, psi)
+            assert frob > 1e-3
+            for other in (psi.astype(complex), phase * psi):
+                assert abs(_frobenius_certificate(g, other) - frob) < 1e-14
+
+
+def test_verify_graph_optimality_ring10_memory():
+    # One 2^20-entry block: the float64 signs, which the real rows overwrite,
+    # the int64 flips and one float64 temporary live at once, 24 MiB.
+    ring10 = Graph(10, [(i, i % 10 + 1) for i in range(1, 11)])
+    assert traced_peak_mib(lambda: verify_graph_optimality(omega_graph(ring10))) < 32.0
 
 
 def test_graph_state_rows_of_r_prime_are_psi_b_psi():
