@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qcore import Ket, Operator, dense_power
-from .strategy import ComplexityReport, Strategy
+from .strategy import ComplexityReport, Strategy, sample_counts
 
 # =====================================================================
 # Domain types
@@ -116,27 +116,23 @@ def lambda2_lhz(spec: GhzSpec) -> float:
 def n_de_k(spec: GhzSpec, k: int, epsilon: float, delta: float) -> ComplexityReport:
     """Sample counts for verifying k-copy groups of a GHZ-like state.
 
-    approx_N is the leading-order count
-    (n + (n-1) s0^(2k) + s0^(2k-2) s1^2) / (n epsilon) * ln(1/delta);
-    exact_N prices each k-copy test at the relaxed per-group infidelity
-    eps' = 1 - (1 - epsilon)^k and multiplies the test count by k. The
-    second-largest eigenvalue of the regrouped strategy is evaluated in
-    closed form from the top two power coefficients s0^k and s0^(k-1) s1,
-    valid for any k without materializing the power spec.
+    strategy.sample_counts prices one k-copy group per round, at the
+    per-group infidelity 1 - (1 - epsilon)^k; exact_N counts copies. The
+    regrouped strategy's second-largest eigenvalue top / (n + top), with
+    top = (n-1) s0^(2k) + s0^(2k-2) s1^2, comes in closed form from the top
+    two power coefficients s0^k and s0^(k-1) s1, valid for any k without
+    materializing the power spec.
     """
     if k < 1:
         raise ValueError(f"power must be at least 1: {k}")
-    if not 0.0 < epsilon < 1.0 or not 0.0 < delta < 1.0:
-        raise ValueError("epsilon and delta must lie in (0, 1)")
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError(f"epsilon = {epsilon} outside (0, 1)")
     s0 = float(spec.coeffs[0])
     s1 = float(spec.coeffs[1])
     n = spec.n
     top = (n - 1) * s0 ** (2 * k) + s0 ** (2 * k - 2) * s1**2
-    approx = (n + top) / (n * epsilon) * math.log(1.0 / delta)
-    lam2k = top / (n + top)
     eps_group = -math.expm1(k * math.log1p(-epsilon))  # 1 - (1-eps)^k
-    exact = k * math.log(delta) / math.log1p(-(1.0 - lam2k) * eps_group)
-    return ComplexityReport(epsilon, delta, exact, approx, "dimension_expansion")
+    return sample_counts(top / (n + top), epsilon, delta, k, eps_group, "dimension_expansion")
 
 
 # =====================================================================

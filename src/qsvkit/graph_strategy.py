@@ -190,6 +190,10 @@ def _frobenius_certificate(g: Graph, psi: np.ndarray) -> float:
         rows = np.multiply(signs, psi[flips], out=signs.astype(psi.dtype, copy=False))
         rows -= np.outer(rows @ psi, psi.conj())
         total += float(np.vdot(rows, rows).real)
+        # Free the rows before the next block's signs are built, so blocks do
+        # not overlap; freeing flips here too makes malloc trim and re-fault
+        # the heap every block, so it goes when the loop rebinds it.
+        del signs, rows
     return float(np.sqrt(total / psi.size))
 
 
@@ -237,9 +241,6 @@ def graph_pass_probability(gs: GraphStrategy, sigma: Ket, sigma_prime: Ket) -> t
     for name, ket in (("sigma", sigma), ("sigma_prime", sigma_prime)):
         if ket.dim != d:
             raise ValueError(f"{name} has dimension {ket.dim}, expected {d}")
-        norm = float(np.linalg.norm(ket.amplitudes))
-        if abs(norm - 1.0) > 1e-10:
-            raise ValueError(f"{name} is not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
 
     exact = _accepted_mass(g, sigma.amplitudes, sigma_prime.amplitudes)
 

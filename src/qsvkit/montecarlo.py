@@ -460,10 +460,6 @@ class WorstCaseReport:
     iterations: int
     converged: bool
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.p_hat <= 1.0:
-            raise ValueError(f"p_hat = {self.p_hat} outside [0, 1]")
-
 
 def worst_case_oracle(s: Strategy, epsilon: float) -> WorstCaseReport:
     """Maximize the two-copy pass probability over independent pure fakes.

@@ -44,13 +44,12 @@ PHASE_S = np.array([[1.0, 0.0], [0.0, 1.0j]], dtype=complex)
 class Ket:
     """State vector with explicit tensor-factor dimensions.
 
-    Amplitudes are stored as a flat complex vector of length prod(dims).
-    When ``normalized`` is set (the default) the norm must be 1 within 1e-12.
+    Amplitudes are stored as a flat complex vector of length prod(dims),
+    whose norm must be 1 within 1e-12.
     """
 
     amplitudes: np.ndarray
     dims: tuple[int, ...]
-    normalized: bool = True
 
     def __post_init__(self) -> None:
         self.amplitudes = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
@@ -62,10 +61,9 @@ class Ket:
             raise ValueError(
                 f"amplitude length {self.amplitudes.size} does not match dims {self.dims}"
             )
-        if self.normalized:
-            norm = float(np.linalg.norm(self.amplitudes))
-            if not abs(norm - 1.0) <= 1e-12:
-                raise ValueError(f"ket tagged normalized but |norm - 1| = {abs(norm - 1.0):.3e}")
+        norm = float(np.linalg.norm(self.amplitudes))
+        if not abs(norm - 1.0) <= 1e-12:
+            raise ValueError(f"ket is not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
 
     @property
     def dim(self) -> int:

@@ -19,11 +19,13 @@ Channels enter through the Kraus picture: a trace-preserving channel whose
 Kraus operators all map the target onto the all-zeros ket induces the
 strategy Omega = sum_i M_i^dag |0..0><0..0| M_i.
 
-Sample-count conventions: exact_N values use the exact ln ratio and are
-reported as reals (consumers round up); approx_N uses the leading-order
-1/((1 - eigenvalue) * epsilon) * ln(1/delta) form. eps_max is float("inf")
-when unbounded; regime thresholds around sqrt(epsilon) follow fixed factors
-of 10 either way, with an explicit ambiguity flag in between.
+Sample-count conventions: every count comes from sample_counts, given the
+eigenvalue, the copies per round and the per-round infidelity: epsilon for
+single-copy tests, 2 epsilon at leading order for two-copy rounds, and
+1 - (1 - epsilon)^k for k-copy groups. exact_N is a real (consumers round
+up). eps_max is float("inf") when unbounded; regime thresholds around
+sqrt(epsilon) follow fixed factors of 10 either way, with an explicit
+ambiguity flag in between.
 """
 
 from __future__ import annotations
@@ -132,8 +134,6 @@ class TwoCopyAnalysis:
     gamma_star: float
     xi_star: float
     eps_max: float | None
-    local_max_ok: bool
-    symmetric_ok: bool
     regime_ambiguous: bool = False
 
     def __post_init__(self) -> None:
@@ -141,9 +141,11 @@ class TwoCopyAnalysis:
             val = getattr(self, name)
             if not -1e-9 <= val <= 1.0 + 1e-9:
                 raise ValueError(f"{name} = {val} outside [0, 1]")
-        expected = self.xi_star + self.gamma_star / 2.0 < 1.0
-        if self.local_max_ok != expected:
-            raise ValueError("local_max_ok inconsistent with xi_star + gamma_star/2 < 1")
+
+    @property
+    def local_max_ok(self) -> bool:
+        """The local-maximum condition xi_star + gamma_star/2 < 1."""
+        return self.xi_star + self.gamma_star / 2.0 < 1.0
 
 
 @dataclass
@@ -182,21 +184,11 @@ class KrausChannel:
 
 @dataclass
 class ComplexityReport:
-    """Sample-count estimates at a working infidelity and confidence level."""
+    """Sample-count estimates from sample_counts, tagged with their protocol."""
 
-    epsilon: float
-    delta: float
     exact_N: float
     approx_N: float
     formula_id: str
-
-    def __post_init__(self) -> None:
-        for name in ("epsilon", "delta"):
-            val = getattr(self, name)
-            if not 0.0 < val < 1.0:
-                raise ValueError(f"{name} = {val} outside (0, 1)")
-        if not self.exact_N > 0 or not self.approx_N > 0:
-            raise ValueError("sample counts must be positive")
 
 
 # =====================================================================
@@ -213,29 +205,41 @@ def lambda2(s: Strategy) -> float:
     if s.copies != 1:
         raise ValueError(f"lambda2 needs a single-copy strategy, got copies = {s.copies}")
     tvec = s.target.amplitudes
-    dev = float(np.max(np.abs(s.omega.entries @ tvec - tvec)))
-    if dev > STRUCT_TOL:
-        raise ValueError(f"target is not fixed by the operator: deviation {dev:.3e}")
-    deflated = s.omega.entries - np.outer(tvec, tvec.conj())
-    top = float(np.linalg.eigvalsh((deflated + deflated.conj().T) / 2.0)[-1])
-    return max(top, 0.0)
+    return _top_of_restricted("lambda2", s.omega.entries - np.outer(tvec, tvec.conj()))
+
+
+def sample_counts(
+    lam: float, epsilon: float, delta: float, copies: int, round_infidelity: float, formula_id: str
+) -> ComplexityReport:
+    """The one sample-count rule behind every protocol.
+
+    A round consumes ``copies`` copies, and a state at infidelity epsilon
+    passes it with probability at most 1 - (1 - lam) * round_infidelity, so
+    exact_N = copies * ln(delta) / ln(1 - (1 - lam) * round_infidelity).
+    approx_N is the leading-order ln(1/delta) / ((1 - lam) * epsilon). A
+    non-positive gap (1 - lam) * epsilon yields unbounded (inf) counts.
+    """
+    for name, val in (("epsilon", epsilon), ("delta", delta)):
+        if not 0.0 < val < 1.0:
+            raise ValueError(f"{name} = {val} outside (0, 1)")
+    gap = (1.0 - lam) * epsilon
+    if gap <= 0.0:
+        return ComplexityReport(UNBOUNDED, UNBOUNDED, formula_id)
+    shrink = (1.0 - lam) * round_infidelity
+    if shrink >= 1.0:
+        raise ValueError(f"pass probability 1 - {shrink} is not positive; epsilon too large")
+    exact = copies * math.log(delta) / math.log1p(-shrink)
+    return ComplexityReport(exact, math.log(1.0 / delta) / gap, formula_id)
 
 
 def single_copy_complexity(lambda2: float, epsilon: float, delta: float) -> ComplexityReport:
-    """Sample counts for repeated single-copy tests.
+    """Sample counts for repeated single-copy tests: one copy per round at epsilon.
 
-    exact_N = ln(delta) / ln(1 - (1 - lambda2) epsilon); approx_N is the
-    leading-order 1/((1 - lambda2) epsilon) * ln(1/delta). A lambda2 of 1
-    yields unbounded (inf) counts rather than an error.
+    A lambda2 of 1 yields unbounded (inf) counts rather than an error.
     """
     if not 0.0 <= lambda2 <= 1.0:
         raise ValueError(f"lambda2 = {lambda2} outside [0, 1]")
-    gap = (1.0 - lambda2) * epsilon
-    if gap <= 0.0:
-        return ComplexityReport(epsilon, delta, UNBOUNDED, UNBOUNDED, "single_copy")
-    exact = math.log(delta) / math.log1p(-gap)
-    approx = math.log(1.0 / delta) / gap
-    return ComplexityReport(epsilon, delta, exact, approx, "single_copy")
+    return sample_counts(lambda2, epsilon, delta, 1, epsilon, "single_copy")
 
 
 # =====================================================================
@@ -292,10 +296,9 @@ def analysis_from_scalars(
 ) -> TwoCopyAnalysis:
     """Two-copy analysis record for given scalars of a swap-symmetric strategy.
 
-    Adds the local-maximum check xi + gamma/2 < 1 and the insurance ceiling.
+    Adds the insurance ceiling and its regime flag.
     """
-    eps_max, ambiguous = insurance_ceiling(gam, xi, epsilon)
-    return TwoCopyAnalysis(lam, gam, xi, eps_max, xi + gam / 2.0 < 1.0, True, ambiguous)
+    return TwoCopyAnalysis(lam, gam, xi, *insurance_ceiling(gam, xi, epsilon))
 
 
 def _top_of_restricted(name: str, mat: np.ndarray) -> float:
@@ -335,12 +338,10 @@ def insurance_ceiling(
 def two_copy_complexity(analysis: TwoCopyAnalysis, epsilon: float, delta: float) -> ComplexityReport:
     """Sample counts for a two-copy strategy from its analysis scalars.
 
-    Uses the leading-order per-round pass probability
-    p = 1 - 2 (1 - lambda_star) epsilon; exact_N = 2 ln(delta) / ln(p) counts
-    copies (two per round), approx_N is 1/((1 - lambda_star) epsilon) *
-    ln(1/delta). The analysis must satisfy the local-maximum condition,
-    lambda_star < 1, and epsilon <= eps_max; violations raise with the
-    failing hypothesis named.
+    Two copies per round at the leading-order per-round infidelity
+    2 epsilon, so exact_N counts copies. The analysis must satisfy the
+    local-maximum condition, lambda_star < 1, and epsilon <= eps_max;
+    violations raise with the failing hypothesis named.
     """
     if not analysis.local_max_ok:
         raise ValueError(
@@ -353,14 +354,7 @@ def two_copy_complexity(analysis: TwoCopyAnalysis, epsilon: float, delta: float)
         raise ValueError("eps_max undecided; rerun the analysis with a concrete epsilon")
     if epsilon > analysis.eps_max:
         raise ValueError(f"epsilon = {epsilon} exceeds eps_max = {analysis.eps_max}")
-    if not 0.0 < epsilon < 1.0 or not 0.0 < delta < 1.0:
-        raise ValueError("epsilon and delta must lie in (0, 1)")
-    shrink = 2.0 * (1.0 - analysis.lambda_star) * epsilon
-    if shrink >= 1.0:
-        raise ValueError(f"pass probability 1 - {shrink} is not positive; epsilon too large")
-    exact = 2.0 * math.log(delta) / math.log1p(-shrink)
-    approx = math.log(1.0 / delta) / ((1.0 - analysis.lambda_star) * epsilon)
-    return ComplexityReport(epsilon, delta, exact, approx, "two_copy")
+    return sample_counts(analysis.lambda_star, epsilon, delta, 2, 2.0 * epsilon, "two_copy")
 
 
 # =====================================================================

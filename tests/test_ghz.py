@@ -125,7 +125,7 @@ def test_n_de_1_equals_single_copy_count():
     for spec in (BELL_SPEC, theta_spec(0.4)):
         rep = n_de_k(spec, 1, 1e-3, 1e-3)
         base = single_copy_complexity(lambda2_lhz(spec), 1e-3, 1e-3)
-        assert rep.approx_N == pytest.approx(base.approx_N, rel=1e-12)
+        assert rep.approx_N == base.approx_N
         assert rep.exact_N == pytest.approx(base.exact_N, rel=1e-12)
 
 
@@ -160,10 +160,15 @@ def test_n_de_64_approaches_global_count():
 def test_n_de_k_validation():
     with pytest.raises(ValueError, match="at least 1"):
         n_de_k(BELL_SPEC, 0, 1e-3, 1e-3)
-    with pytest.raises(ValueError, match="lie in"):
+    with pytest.raises(ValueError, match=r"epsilon = 0.0 outside \(0, 1\)"):
         n_de_k(BELL_SPEC, 2, 0.0, 1e-3)
-    with pytest.raises(ValueError, match="lie in"):
+    with pytest.raises(ValueError, match=r"delta = 1.0 outside \(0, 1\)"):
         n_de_k(BELL_SPEC, 2, 1e-3, 1.0)
+    # k = 200 groups at epsilon = 0.3 fail with certainty: the per-group
+    # pass probability 1 - (1 - lambda) (1 - 0.7^200) rounds to 0.
+    wide = GhzSpec(2, 2, [math.cos(0.7), math.sin(0.7)])
+    with pytest.raises(ValueError, match="not positive"):
+        n_de_k(wide, 200, 0.3, 1e-3)
 
 
 # ---------------------------------------------------------------------

@@ -270,6 +270,14 @@ def test_verify_graph_optimality_ring10_memory():
     assert traced_peak_mib(lambda: verify_graph_optimality(omega_graph(ring10))) < 32.0
 
 
+def test_verify_graph_optimality_frees_each_block_before_the_next():
+    # Two 2^20-entry blocks at n = 11: the first block's arrays are freed
+    # before the second is built, so the peak stays at the one-block 24 MiB
+    # (32 MiB if they overlap the next block's Walsh signs).
+    ring11 = Graph(11, [(i, i % 11 + 1) for i in range(1, 12)])
+    assert traced_peak_mib(lambda: verify_graph_optimality(omega_graph(ring11))) < 26.0
+
+
 def test_graph_state_rows_of_r_prime_are_psi_b_psi():
     # The paper's identity: R'[b, u] = (-1)^(c(b).u) psi[u xor b] / sqrt(d)
     # equals psi[b] psi[u] for a graph state, so R' (I - psi psi^dag) = 0.
@@ -361,9 +369,8 @@ def test_graph_pass_probability_epsilon_pair_lower_bound():
 def test_graph_pass_probability_validates_inputs(rng):
     gs = omega_graph(PATH2, matrix_free=False)
     good = Ket(random_unit(rng, 4), (2, 2))
-    bad = Ket(2.0 * random_unit(rng, 4), (2, 2), normalized=False)
     with pytest.raises(ValueError, match="not normalized"):
-        graph_pass_probability(gs, good, bad)
+        Ket(2.0 * random_unit(rng, 4), (2, 2))
     small = Ket(random_unit(rng, 2), (2,))
     with pytest.raises(ValueError, match="dimension"):
         graph_pass_probability(gs, small, good)

@@ -33,7 +33,6 @@ def test_ket_validates_norm_and_dims():
         Ket(np.array([1.0, 1.0]), (2,))
     with pytest.raises(ValueError, match="norm"):
         Ket(np.array([1.0, np.nan]), (2,))
-    Ket(np.array([1.0, 1.0]), (2,), normalized=False)
     with pytest.raises(ValueError, match="dims"):
         Ket(np.array([1.0, 0.0, 0.0]), (2,))
     with pytest.raises(ValueError, match="positive"):

@@ -9,7 +9,6 @@ from conftest import random_unit
 from qsvkit.qcore import Ket, Operator, bell_ket, orthonormal_complement
 from qsvkit.strategy import (
     UNBOUNDED,
-    ComplexityReport,
     KrausChannel,
     Strategy,
     TwoCopyAnalysis,
@@ -199,7 +198,6 @@ def test_two_copy_analysis_product_of_reference_strategies():
     prod = np.kron(strat.omega.entries, strat.omega.entries)
     s2 = Strategy(Operator(prod, (4, 4), hermitian=True), target, copies=2)
     analysis = two_copy_analysis(s2)
-    assert analysis.symmetric_ok
     assert abs(analysis.lambda_star - 1.0 / 3.0) < 1e-9
     assert analysis.local_max_ok
 
@@ -273,22 +271,23 @@ def test_two_copy_analysis_threads_epsilon_to_ceiling(rng):
 
 
 def test_two_copy_complexity_anchor_and_guards():
-    analysis = TwoCopyAnalysis(0.0, 0.0, 0.0, UNBOUNDED, True, True)
+    analysis = TwoCopyAnalysis(0.0, 0.0, 0.0, UNBOUNDED)
     rep = two_copy_complexity(analysis, 0.1, 1e-3)
     assert rep.formula_id == "two_copy"
     assert rep.exact_N == pytest.approx(61.913106951097014, rel=1e-12)
     assert rep.approx_N == pytest.approx(69.07755278982137, rel=1e-12)
 
-    bad_local = TwoCopyAnalysis(0.2, 0.8, 0.7, 1e-3, False, True)
+    bad_local = TwoCopyAnalysis(0.2, 0.8, 0.7, 1e-3)
+    assert not bad_local.local_max_ok
     with pytest.raises(ValueError, match="local-maximum"):
         two_copy_complexity(bad_local, 1e-4, 1e-3)
-    undecided = TwoCopyAnalysis(0.2, 0.5, 0.2, None, True, True, True)
+    undecided = TwoCopyAnalysis(0.2, 0.5, 0.2, None, True)
     with pytest.raises(ValueError, match="undecided"):
         two_copy_complexity(undecided, 1e-4, 1e-3)
-    capped = TwoCopyAnalysis(0.2, 0.5, 0.2, 1e-4, True, True)
+    capped = TwoCopyAnalysis(0.2, 0.5, 0.2, 1e-4)
     with pytest.raises(ValueError, match="exceeds eps_max"):
         two_copy_complexity(capped, 1e-3, 1e-3)
-    unit = TwoCopyAnalysis(1.0, 0.0, 0.0, UNBOUNDED, True, True)
+    unit = TwoCopyAnalysis(1.0, 0.0, 0.0, UNBOUNDED)
     with pytest.raises(ValueError, match=">= 1"):
         two_copy_complexity(unit, 1e-3, 1e-3)
     with pytest.raises(ValueError, match="not positive"):
@@ -296,10 +295,8 @@ def test_two_copy_complexity_anchor_and_guards():
 
 
 def test_two_copy_analysis_scalar_consistency_guard():
-    with pytest.raises(ValueError, match="inconsistent"):
-        TwoCopyAnalysis(0.2, 0.5, 0.2, None, False, True)
     with pytest.raises(ValueError, match="outside"):
-        TwoCopyAnalysis(1.5, 0.5, 0.2, None, True, True)
+        TwoCopyAnalysis(1.5, 0.5, 0.2, None)
 
 
 # ---------------------------------------------------------------------
