@@ -16,16 +16,20 @@ tests/test_graph_strategy.py checks that through a bit-by-bit reorder.
 Matrix-free path: the operator is a sum of 2^n rank-1 projectors onto
 orthonormal accept kets K_b. Entry (u, u xor b) of K_b is S[b, u] / sqrt(d)
 with the Walsh sign S[b, u] = (-1)^popcount(c(b) & u), and every other entry
-is 0. One row-block iterator over (b, S[b, .], u xor b) feeds every consumer,
-so applying the operator costs O(4^n) work instead of a 16^n dense multiply,
-and every two-copy compression over (target (x) target-perp) is built from
-the overlaps <K_b|target (x) v_i>. Every accept ket is swap-symmetric, so the
+is 0. One row-block iterator over (b, S[b, .], u xor b) feeds the dense
+build, apply_omega and the pass probability, so applying the operator costs
+O(4^n) work instead of a 16^n dense multiply. Every two-copy compression
+over (target (x) target-perp) is built from the overlaps
+<K_b|target (x) v_i>. Every accept ket is swap-symmetric, so the
 overlaps with v_i (x) target are the same numbers. Verification bounds all
-scalars by one Frobenius norm of those overlaps, streamed in row blocks of
-about 2^20 entries in O(4^n) time, with no basis of target-perp and no
-eigensolve. A target with no imaginary part, such as every graph state, is
-certified in real arithmetic, each block's rows written over its sign
-buffer, and the 1/sqrt(d) factor is applied once to the sum.
+scalars by one Frobenius norm F of those overlaps, with no basis of
+target-perp and no eigensolve. Each accept ket's residual is one stabilizer
+expectation <Z^(Gamma b) X^b> of the real target, and the paper's
+disentangling circuit B = H^(x)n CZ_E, with its signs read off the code
+table's linear map Gamma, takes all 2^n of them to Z^b. F then follows from
+the squared amplitudes of B psi, split for each b into their even and odd
+parity sums: a few small Walsh and parity products over the two halves of
+the index, O(2^(1.5 n)) work, without the 4^n accept-ket entries.
 
 Dense form: construction never builds the dense 4^n x 4^n operator. The
 strategy field builds it on first read, as the real product K K^T of the
@@ -152,6 +156,9 @@ class GraphOptimalityReport:
 
     The scalars are exact on the "dense" route and certified upper bounds on
     the "matrix_free" route; annihilation_residual is an upper bound on both.
+    Every bound comes from the Frobenius certificate F, computed in the
+    frame of the disentangling circuit B from the even/odd parity sums of
+    the squared amplitudes of B psi.
     """
 
     lambda_star: float
@@ -163,38 +170,90 @@ class GraphOptimalityReport:
     route: str
 
 
+@functools.lru_cache(maxsize=8)
+def _half_factors(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Walsh signs S of k index bits and the stacked parity matrices [(1 + S)/2; (1 - S)/2].
+
+    Row b of (1 + S)/2 marks the v with b.v even, of (1 - S)/2 those with b.v
+    odd. Both are symmetric, so the transpose of the stack is [even | odd].
+    Read-only; a graph state on at most 13 vertices needs k <= 7, eight sizes
+    under 0.5 MB in all.
+    """
+    idx = np.arange(1 << k, dtype=np.int64)
+    walsh = walsh_signs(idx[:, None], idx)
+    parity = np.concatenate(((1.0 + walsh) / 2.0, (1.0 - walsh) / 2.0))
+    walsh.flags.writeable = parity.flags.writeable = False
+    return walsh, parity
+
+
+def _frame_signs(g: Graph) -> np.ndarray:
+    """D_Gamma[u] = (-1)^(sum_{i<j} Gamma_ij u_i u_j) for the linear map Gamma of g's code table.
+
+    Gamma is read off the table at the unit flips and checked in O(n 2^n):
+    zero diagonal (every accept ket swap-symmetric), symmetric, and c(b) =
+    Gamma b for every b. The exponent is the parity of u & U u, where U is
+    the part of Gamma above the diagonal, summed over the bits of u as c is
+    in the linearity check. The signs come from the code table alone, never
+    from the target, so a wrong target cannot certify itself. Raises
+    ValueError if a check fails.
+    """
+    codes = parity_accept_indices(g)
+    bits = np.arange(g.n, dtype=np.int64)
+    units = codes[1 << bits]
+    gamma = (units >> bits[:, None]) & 1
+    if gamma.diagonal().any():
+        raise ValueError("an accept ket is swap-antisymmetric; the graph is not simple")
+    if (gamma != gamma.T).any():
+        raise ValueError("the parity code table is not a symmetric map")
+    idx = np.arange(codes.size, dtype=np.int64)
+    on = (idx[:, None] >> bits) & 1
+    if (np.bitwise_xor.reduce(on * units, axis=1) != codes).any():
+        raise ValueError("the parity code table is not linear")
+    upper = np.bitwise_xor.reduce(on * (units & ((1 << bits) - 1)), axis=1)
+    return walsh_signs(idx, upper)
+
+
 def _frobenius_certificate(g: Graph, psi: np.ndarray) -> float:
-    """F = |R' (I - psi psi^dag)|_F, one bound on every two-copy compression.
+    """F = |R' (I - psi psi^T)|_F, one bound on every two-copy compression.
 
     R'[b, u] = (-1)^popcount(c(b) & u) psi[u xor b] / sqrt(d), so with the
     columns v_i of V an orthonormal basis of psi-perp, the overlaps
     A[b, i] = <K_b|v_i (x) psi> form A = R' V, and |A|_F = F. The swap sign
     (-1)^popcount(c(b) & b) is +1 for a simple graph, so A[b, i] =
     <K_b|psi (x) v_i> too, and the lambda, gamma and xi matrices are 2G, G
-    and 3G/2 with G = A^dag A: their top eigenvalues are at most 2F^2, F^2
+    and 3G/2 with G = A^T A: their top eigenvalues are at most 2F^2, F^2
     and 3F^2/2, and each column norm of A (the annihilation residual) is at
     most F. For a graph state row b of R' is psi[b] psi^T, so F vanishes.
-    Raises ValueError if a swap sign is -1.
 
-    Each block holds sqrt(d) R' rows, one matvec with psi and one rank-1
-    update project psi out, and 1/sqrt(d) enters once, as F^2 = total / d.
-    A psi with no imaginary part is taken as real, so the rows are real and
-    overwrite the block's sign buffer; a complex psi takes the same lines in
-    complex arithmetic.
+    Row b of sqrt(d) R' is Z^(Gamma b) X^b psi, so its squared residual is
+    1 - <psi|Z^(Gamma b) X^b|psi>^2 for a real unit psi. The disentangling
+    circuit B = H^(x)n CZ_E, here W = S D_Gamma / sqrt(d) with S the n-bit
+    Walsh signs and D_Gamma from _frame_signs, is real orthogonal and maps
+    every such stabilizer to +-Z^b. With phi = W psi and a = phi^2, the
+    expectation is E_b - O_b, where E_b sums a over the v with b.v even and
+    O_b over those with b.v odd, and E_b + O_b = 1. So F^2 = (4/d) sum_b
+    E_b O_b. W is applied as two products with the Walsh matrices of the
+    index's high and low halves, and E and O come from two products with
+    the halves' stacked even/odd parity matrices: O(2^(1.5 n)) work, and no
+    accept-ket entry is formed. Every sum in E and O is of non-negative
+    terms, so F keeps its absolute precision near 0, where
+    1 - (E_b - O_b)^2 would cancel.
+
+    Raises ValueError if psi has an imaginary part (every graph state is
+    real) or if the code table fails a check of _frame_signs.
     """
-    psi = psi.real if not psi.imag.any() else psi
-    total = 0.0
-    for b, signs, flips in _accept_rows(g):
-        if np.any(np.take_along_axis(signs, b, axis=1) < 0):
-            raise ValueError("an accept ket is swap-antisymmetric; the graph is not simple")
-        rows = np.multiply(signs, psi[flips], out=signs.astype(psi.dtype, copy=False))
-        rows -= np.outer(rows @ psi, psi.conj())
-        total += float(np.vdot(rows, rows).real)
-        # Free the rows before the next block's signs are built, so blocks do
-        # not overlap; freeing flips here too makes malloc trim and re-fault
-        # the heap every block, so it goes when the loop rebinds it.
-        del signs, rows
-    return float(np.sqrt(total / psi.size))
+    if np.imag(psi).any():
+        raise ValueError("the certificate takes a real target; psi has an imaginary part")
+    psi = np.real(psi)
+    walsh_hi, parity_hi = _half_factors(g.n - g.n // 2)
+    walsh_lo, parity_lo = _half_factors(g.n // 2)
+    hi, lo = len(walsh_hi), len(walsh_lo)
+    # amp = sqrt(d) W psi, so E and O below come out scaled by d.
+    amp = walsh_hi @ (_frame_signs(g) * psi).reshape(hi, lo) @ walsh_lo
+    split = parity_hi @ (amp * amp) @ parity_lo.T
+    even = split[:hi, :lo] + split[hi:, lo:]
+    odd = split[:hi, lo:] + split[hi:, :lo]
+    return float(np.sqrt(4.0 * np.vdot(even, odd)) / psi.size ** 1.5)
 
 
 def verify_graph_optimality(gs: GraphStrategy, tol: float = 1e-9) -> GraphOptimalityReport:
@@ -203,9 +262,11 @@ def verify_graph_optimality(gs: GraphStrategy, tol: float = 1e-9) -> GraphOptima
     Graphs with n <= 3 and a dense operator take their exact scalars from
     two_copy_analysis (route "dense"). Otherwise (route "matrix_free") the
     scalars are the upper bounds 2F^2, F^2 and 3F^2/2, with F from
-    _frobenius_certificate: O(4^n) time for d = 2^n in row blocks, no basis
-    of target-perp, no eigensolve, and real arithmetic, since a graph state
-    has real amplitudes. Both routes report F as the annihilation residual.
+    _frobenius_certificate: the target is taken to the frame of the
+    disentangling circuit B, whose signs come from the code table, and F is
+    read off the even/odd parity sums of its squared amplitudes, in
+    O(2^(1.5 n)) real arithmetic for d = 2^n, with no basis of target-perp
+    and no eigensolve. Both routes report F as the annihilation residual.
     Failures are reported, not raised.
     """
     g = gs.graph

@@ -5,7 +5,8 @@ vectorized or closed forms in the package: parity codes one code at a time,
 the protocol's accept decision as a comparison of codes, the per-verifier
 pair order bit by bit, regrouped tensor powers by listing every product, the
 MUB strategy's tests as sums of Kronecker products one basis vector at a time,
-and the worst-case oracle's search one run and one sphere problem at a time.
+the worst-case oracle's search one run and one sphere problem at a time, and
+the graph certificate over every accept-ket entry.
 Tests check the package against these, and these on hand examples.
 """
 
@@ -13,7 +14,7 @@ import math
 
 import numpy as np
 
-from qsvkit import montecarlo
+from qsvkit import graph_strategy, montecarlo
 from qsvkit.ghz import _MUB_TABLES, GhzSpec
 from qsvkit.graphs import Graph, GraphCode
 from qsvkit.qcore import DENSE_DIM_CAP, Ket, Operator, orthonormal_complement
@@ -53,6 +54,20 @@ def interleaved_permutation(n: int) -> np.ndarray:
         i |= o_bit << (2 * n - 1 - t)
         i |= op_bit << (n - 1 - t)
     return i
+
+
+def streamed_frobenius_certificate(g: Graph, psi: np.ndarray) -> float:
+    """F = |R' (I - psi psi^dag)|_F with every entry of R' formed, one row block at a time.
+
+    R'[b, u] = (-1)^popcount(c(b) & u) psi[u xor b] / sqrt(d), read off the
+    accept-ket row blocks in O(4^n) work; psi may be complex.
+    """
+    total = 0.0
+    for _, signs, flips in graph_strategy._accept_rows(g):
+        rows = signs * psi[flips]
+        rows -= np.outer(rows @ psi, psi.conj())
+        total += float(np.vdot(rows, rows).real)
+    return float(np.sqrt(total / psi.size))
 
 
 def tensor_power_spec(spec: GhzSpec, k: int) -> GhzSpec:

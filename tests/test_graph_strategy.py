@@ -7,7 +7,7 @@ import pytest
 
 from conftest import random_unit, traced_peak_mib
 from graphgen import connected_graphs
-from qsvkit import graph_strategy
+from qsvkit import graph_strategy, graphs
 from qsvkit.graph_strategy import (
     MATRIX_FREE_DEFAULT_FROM,
     _frobenius_certificate,
@@ -20,13 +20,36 @@ from qsvkit.graph_strategy import (
 )
 from qsvkit.graphs import Graph, GraphCode, graph_state
 from qsvkit.qcore import Ket, bell_ket, orthonormal_complement
-from reference import decide_parity_pass, interleaved_permutation, parity_code
+from reference import (
+    decide_parity_pass,
+    interleaved_permutation,
+    parity_code,
+    streamed_frobenius_certificate,
+)
 
 
 PATH2 = Graph(2, [(1, 2)])
 TRIANGLE = Graph(3, [(1, 2), (2, 3), (1, 3)])
 STAR4 = Graph(4, [(1, 2), (1, 3), (1, 4)])
 CYCLE5 = Graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
+
+
+def ring(n: int) -> Graph:
+    """The cycle on n vertices; the path for n <= 2."""
+    return Graph(n, [(i, i + 1) for i in range(1, n)] + ([(1, n)] if n >= 3 else []))
+
+
+def star(n: int) -> Graph:
+    return Graph(n, [(1, v) for v in range(2, n + 1)])
+
+
+def complete(n: int) -> Graph:
+    return Graph(n, [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)])
+
+
+def random_real_unit(rng, dim: int) -> np.ndarray:
+    vec = rng.normal(size=dim)
+    return vec / np.linalg.norm(vec)
 
 
 def swap_conjugate(entries: np.ndarray, d: int) -> np.ndarray:
@@ -203,11 +226,11 @@ def test_verify_graph_optimality_matrix_free_route():
 
 def test_frobenius_certificate_bounds_dense_compressions_off_target(rng):
     # Graph states make every scalar vanish, so check the bound on random
-    # states, where the compressions are far from zero.
+    # real states, where the compressions are far from zero.
     for n in (1, 2, 3):
         for g in connected_graphs(n):
             d = 1 << n
-            psi = random_unit(rng, d)
+            psi = random_real_unit(rng, d)
             omega = omega_graph(g, matrix_free=False).strategy.omega.entries
             w = np.kron(psi[:, None], orthonormal_complement(psi))
             sym = (w + swap_columns(w, d)) / 2.0
@@ -224,24 +247,17 @@ def test_frobenius_certificate_bounds_dense_compressions_off_target(rng):
             assert np.max(resid) <= frob + 1e-12
 
 
-def test_frobenius_certificate_does_not_depend_on_the_block_height(monkeypatch, rng):
+def test_accept_row_consumers_do_not_depend_on_the_block_height(monkeypatch, rng):
     # Small graphs fit one block; shrink the blocks to 1, 3 and 6 rows of 16,
     # the last one ragged, so every block boundary is crossed. Every consumer
     # of the accept-ket row blocks is checked at each height.
-    psi = random_unit(rng, 16)
     sigma, sigma_p = (Ket(random_unit(rng, 16), (2,) * 4) for _ in range(2))
     vec = random_unit(rng, 256)
-    # A real psi takes the rows written over each block's sign buffer.
-    real_psi = rng.normal(size=16)
-    real_psi /= np.linalg.norm(real_psi)
-    one_block = [_frobenius_certificate(STAR4, p) for p in (psi, real_psi)]
     gs = omega_graph(STAR4, matrix_free=False)
     omega = gs.strategy.omega.entries
     pass_one_block = graph_pass_probability(gs, sigma, sigma_p)
     for entries in (16, 48, 100):
         monkeypatch.setattr(graph_strategy, "_BLOCK_ENTRIES", entries)
-        for p, frob in zip((psi, real_psi), one_block):
-            assert abs(_frobenius_certificate(STAR4, p) - frob) < 1e-12
         assert np.array_equal(omega_graph(STAR4, matrix_free=False).strategy.omega.entries, omega)
         assert np.max(np.abs(apply_omega(gs, vec) - omega @ vec)) < 1e-12
         got = graph_pass_probability(gs, sigma, sigma_p)
@@ -249,33 +265,47 @@ def test_frobenius_certificate_does_not_depend_on_the_block_height(monkeypatch, 
 
 
 def test_frobenius_certificate_agrees_across_dtypes(rng):
-    # A real psi is certified in real arithmetic whether it arrives as float64
-    # or complex128; a global phase sends it through complex arithmetic and
-    # leaves F unchanged.
-    phase = np.exp(0.7j)
+    # A real psi gives the same F, bit for bit, as float64 or as complex128
+    # with a zero imaginary part; a global phase makes it complex and raises.
     for n in (1, 2, 3, 4):
         for g in connected_graphs(n):
-            psi = rng.normal(size=1 << n)
-            psi /= np.linalg.norm(psi)
+            psi = random_real_unit(rng, 1 << n)
             frob = _frobenius_certificate(g, psi)
             assert frob > 1e-3
-            for other in (psi.astype(complex), phase * psi):
-                assert abs(_frobenius_certificate(g, other) - frob) < 1e-14
+            assert _frobenius_certificate(g, psi.astype(complex)) == frob
+            with pytest.raises(ValueError, match="imaginary"):
+                _frobenius_certificate(g, np.exp(0.7j) * psi)
 
 
-def test_verify_graph_optimality_ring10_memory():
-    # One 2^20-entry block: the float64 signs, which the real rows overwrite,
-    # the int64 flips and one float64 temporary live at once, 24 MiB.
-    ring10 = Graph(10, [(i, i % 10 + 1) for i in range(1, 11)])
-    assert traced_peak_mib(lambda: verify_graph_optimality(omega_graph(ring10))) < 32.0
+def test_frobenius_certificate_matches_the_streamed_reference(rng):
+    # Every connected graph with n <= 5: random real states, where F is of
+    # order 1, and states within delta of the graph state, where F is of
+    # order delta and a cancelling form would lose its relative precision.
+    for n in (1, 2, 3, 4, 5):
+        d = 1 << n
+        for g in connected_graphs(n):
+            psi = random_real_unit(rng, d)
+            got = _frobenius_certificate(g, psi)
+            assert abs(got**2 - streamed_frobenius_certificate(g, psi) ** 2) <= 1e-12
+            target = graph_state(g).amplitudes.real
+            for delta in (1e-6, 1e-8):
+                near = target + delta * rng.normal(size=d)
+                near /= np.linalg.norm(near)
+                want = streamed_frobenius_certificate(g, near)
+                assert abs(_frobenius_certificate(g, near) - want) <= 1e-6 * want
 
 
-def test_verify_graph_optimality_frees_each_block_before_the_next():
-    # Two 2^20-entry blocks at n = 11: the first block's arrays are freed
-    # before the second is built, so the peak stays at the one-block 24 MiB
-    # (32 MiB if they overlap the next block's Walsh signs).
-    ring11 = Graph(11, [(i, i % 11 + 1) for i in range(1, 12)])
-    assert traced_peak_mib(lambda: verify_graph_optimality(omega_graph(ring11))) < 26.0
+@pytest.mark.parametrize("family", [ring, star, complete])
+def test_frobenius_certificate_vanishes_on_graph_states(family):
+    for n in range(1, 14):
+        g = family(n)
+        assert _frobenius_certificate(g, graph_state(g).amplitudes) <= 1e-15
+
+
+def test_verify_graph_optimality_ring13_memory():
+    # The certificate holds the code table, a few (2^13, 13) integer bit
+    # tables and (128, 64) products, about 2.3 MiB; no 4^13-entry array.
+    assert traced_peak_mib(lambda: verify_graph_optimality(omega_graph(ring(13)))) < 8.0
 
 
 def test_graph_state_rows_of_r_prime_are_psi_b_psi():
@@ -301,6 +331,41 @@ def test_frobenius_certificate_rejects_a_swap_antisymmetric_accept_ket(monkeypat
         _frobenius_certificate(Graph(1), np.array([1.0, 0.0], dtype=complex))
 
 
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        # c(01) = 10 and c(10) = 00: linear, zero diagonal, Gamma not symmetric.
+        ([0, 2, 0, 2], "symmetric"),
+        # The path's table [0, 2, 1, 3] with c(11) = 00, not c(01) xor c(10).
+        ([0, 2, 1, 0], "linear"),
+    ],
+)
+def test_frobenius_certificate_rejects_a_malformed_code_table(monkeypatch, table, message):
+    monkeypatch.setattr(graph_strategy, "parity_accept_indices", lambda g: np.array(table))
+    with pytest.raises(ValueError, match=message):
+        _frobenius_certificate(PATH2, graph_state(PATH2).amplitudes)
+
+
+def test_verification_fails_on_a_wrong_graph_state(monkeypatch):
+    # The certificate's frame comes from the code table, not from the state:
+    # one flipped amplitude sign in graph_state must fail verification
+    # instead of certifying itself. (The dense route refuses to build a
+    # strategy that does not fix its target, so only the matrix-free route
+    # gets this far.)
+    edge_signs = graphs._edge_signs
+
+    def one_sign_flipped(g):
+        signs = edge_signs(g).copy()
+        signs[1] *= -1.0
+        return signs
+
+    monkeypatch.setattr(graphs, "_edge_signs", one_sign_flipped)
+    for gs in (omega_graph(TRIANGLE, matrix_free=True), omega_graph(ring(6))):
+        report = verify_graph_optimality(gs)
+        assert not report.passed
+        assert report.annihilation_residual > 1e-3
+
+
 def test_verify_graph_optimality_routes_agree():
     for n in (1, 2, 3):
         for g in connected_graphs(n):
@@ -313,11 +378,10 @@ def test_verify_graph_optimality_routes_agree():
             assert dense.annihilation_residual == free.annihilation_residual
 
 
-@pytest.mark.parametrize("n", [9, 12])
+@pytest.mark.parametrize("n", [9, 12, 13])
 def test_verify_graph_optimality_ring_within_budget(n):
-    ring = Graph(n, [(i, i % n + 1) for i in range(1, n + 1)])
     started = time.monotonic()
-    report = verify_graph_optimality(omega_graph(ring))
+    report = verify_graph_optimality(omega_graph(ring(n)))
     assert time.monotonic() - started < 10.0
     assert report.route == "matrix_free"
     assert report.passed

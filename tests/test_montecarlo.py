@@ -1,7 +1,9 @@
 """Monte Carlo protocol sampling and the independent worst-case search."""
 
+import ast
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -227,6 +229,27 @@ def test_real_kets_give_the_complex_bell_table(n):
 # ---------------------------------------------------------------------
 # Graph-protocol sampling
 # ---------------------------------------------------------------------
+
+def test_montecarlo_imports_only_the_graph_names_its_cross_check_needs():
+    # The sampler and the oracle check the analysis, so they share no formulas
+    # with it: from graph_strategy they take only the strategy record and the
+    # pass-rate-to-fidelity map, from graphs only the target state and the
+    # code table. A whole-module import would expose every other helper.
+    tree = ast.parse(Path(montecarlo.__file__).read_text(encoding="utf-8"))
+    guarded = {"graphs", "graph_strategy"}
+    imported: dict[str, set[str]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not {alias.name.rpartition(".")[2] for alias in node.names} & guarded
+        elif isinstance(node, ast.ImportFrom):
+            names = {alias.name for alias in node.names}
+            module = (node.module or "").rpartition(".")[2]
+            if module in ("", "qsvkit"):
+                assert not names & guarded
+            imported.setdefault(module, set()).update(names)
+    assert imported["graph_strategy"] == {"GraphStrategy", "fidelity_from_passrate"}
+    assert imported["graphs"] == {"graph_state", "parity_accept_indices"}
+
 
 def test_graph_simulation_reproducible_and_seed_sensitive():
     gs = omega_graph(PATH2, matrix_free=False)
