@@ -13,28 +13,22 @@ per-verifier pair order (O1, O1', O2, O2', ...) the operator is a sum of
 tensor products of local Bell projectors; the locality test in
 tests/test_graph_strategy.py checks that through a bit-by-bit reorder.
 
-Matrix-free path: the operator is a sum of 2^n rank-1 projectors onto
-orthonormal accept kets K_b. Entry (u, u xor b) of K_b is S[b, u] / sqrt(d)
-with the Walsh sign S[b, u] = (-1)^popcount(c(b) & u), and every other entry
-is 0. One row-block iterator over (b, S[b, .], u xor b) feeds the dense
-build, apply_omega and the pass probability, so applying the operator costs
-O(4^n) work instead of a 16^n dense multiply. Every two-copy compression
-over (target (x) target-perp) is built from the overlaps
-<K_b|target (x) v_i>. Every accept ket is swap-symmetric, so the
-overlaps with v_i (x) target are the same numbers. Verification bounds all
-scalars by one Frobenius norm F of those overlaps, with no basis of
-target-perp and no eigensolve. Each accept ket's residual is one stabilizer
-expectation <Z^(Gamma b) X^b> of the real target, and the paper's
-disentangling circuit B = H^(x)n CZ_E, with its signs read off the code
-table's linear map Gamma, takes all 2^n of them to Z^b. F then follows from
-the squared amplitudes of B psi, split for each b into their even and odd
-parity sums: a few small Walsh and parity products over the two halves of
-the index, O(2^(1.5 n)) work, without the 4^n accept-ket entries.
+One representation: the paper's disentangling circuit B = H^(x)n CZ_E is the
+real orthogonal W = S D_Gamma / sqrt(d), with S the n-bit Walsh signs and
+D_Gamma read off the code table's linear map Gamma by _frame_signs, whose
+checks therefore guard every consumer. The rows w_v of W are the graph basis
+Z^v|G> up to sign, and the operator is Omega = sum_v (w_v (x) w_v)(w_v (x)
+w_v)^T. _frame_amplitudes applies W to a stack of vectors in O(2^(1.5 n))
+work each. The dense form is K K^T with columns w_v (x) w_v; the pass
+probability of sigma (x) sigma' is sum_v |(W sigma)_v|^2 |(W sigma')_v|^2;
+the optimality certificate bounds every two-copy scalar by one Frobenius
+norm, read off the even and odd parity sums of (W psi)^2; apply_omega
+scatters the accept kets in row blocks, in O(4^n) work.
 
 Dense form: construction never builds the dense 4^n x 4^n operator. The
-strategy field builds it on first read, as the real product K K^T of the
-accept-ket matrix, and is None in matrix-free mode. Construction defaults to
-matrix-free from n = 5; unit tests and small graphs read the dense form.
+strategy field builds it on first read and is None in matrix-free mode.
+Construction defaults to matrix-free from n = 5; unit tests and small graphs
+read the dense form.
 """
 
 from __future__ import annotations
@@ -50,8 +44,68 @@ from .strategy import Strategy, two_copy_analysis
 
 MATRIX_FREE_DEFAULT_FROM = 5
 
-# Entries per row block of the accept-ket iterator (8 MB per float64 array).
+# Entries per row block of apply_omega (8 MB per float64 array).
 _BLOCK_ENTRIES = 1 << 20
+
+
+# =====================================================================
+# The disentangling frame
+# =====================================================================
+
+@functools.lru_cache(maxsize=8)
+def _half_factors(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Walsh signs S of k index bits and the stacked parity matrices [(1 + S)/2; (1 - S)/2].
+
+    Row b of (1 + S)/2 marks the v with b.v even, of (1 - S)/2 those with b.v
+    odd. Both are symmetric, so the transpose of the stack is [even | odd].
+    Read-only; a graph state on at most 13 vertices needs k <= 7, eight sizes
+    under 0.5 MB in all.
+    """
+    idx = np.arange(1 << k, dtype=np.int64)
+    walsh = walsh_signs(idx[:, None], idx)
+    parity = np.concatenate(((1.0 + walsh) / 2.0, (1.0 - walsh) / 2.0))
+    walsh.flags.writeable = parity.flags.writeable = False
+    return walsh, parity
+
+
+def _frame_signs(g: Graph) -> np.ndarray:
+    """D_Gamma[u] = (-1)^(sum_{i<j} Gamma_ij u_i u_j) for the linear map Gamma of g's code table.
+
+    The one reader of parity_accept_indices in this module. Gamma is read off
+    the table at the unit flips and checked in O(n 2^n): zero diagonal (every
+    accept ket swap-symmetric), symmetric, and c(b) = Gamma b for every b.
+    The exponent is the parity of u & U u, where U is the part of Gamma above
+    the diagonal, summed over the bits of u as c is in the linearity check.
+    The signs come from the code table alone, never from the target, so a
+    wrong target cannot certify itself. Raises ValueError if a check fails.
+    """
+    codes = parity_accept_indices(g)
+    bits = np.arange(g.n, dtype=np.int64)
+    units = codes[1 << bits]
+    gamma = (units >> bits[:, None]) & 1
+    if gamma.diagonal().any():
+        raise ValueError("an accept ket is swap-antisymmetric; the graph is not simple")
+    if (gamma != gamma.T).any():
+        raise ValueError("the parity code table is not a symmetric map")
+    idx = np.arange(codes.size, dtype=np.int64)
+    on = (idx[:, None] >> bits) & 1
+    if (np.bitwise_xor.reduce(on * units, axis=1) != codes).any():
+        raise ValueError("the parity code table is not linear")
+    upper = np.bitwise_xor.reduce(on * (units & ((1 << bits) - 1)), axis=1)
+    return walsh_signs(idx, upper)
+
+
+def _frame_amplitudes(g: Graph, x: np.ndarray) -> np.ndarray:
+    """sqrt(d) W x for each length-d row of x, shaped (..., hi, lo) over the index's halves.
+
+    Applies D_Gamma, then the Walsh matrices of the high and low index bits
+    on either side of each (hi, lo) reshape. Raises ValueError if the code
+    table fails a check of _frame_signs.
+    """
+    walsh_hi, _ = _half_factors(g.n - g.n // 2)
+    walsh_lo, _ = _half_factors(g.n // 2)
+    halves = (*x.shape[:-1], len(walsh_hi), len(walsh_lo))
+    return walsh_hi @ (_frame_signs(g) * x).reshape(halves) @ walsh_lo
 
 
 # =====================================================================
@@ -65,7 +119,7 @@ class GraphStrategy:
     ``strategy`` holds the dense accept operator (target graph_state(graph),
     copies = 2). It is built on first read and kept, and it is None in
     matrix-free mode (``dense`` false), where the operator is only ever
-    applied through apply_omega or compressed through its accept kets.
+    applied through apply_omega or read through _frame_amplitudes.
     """
 
     graph: Graph
@@ -78,11 +132,9 @@ class GraphStrategy:
             return None
         g = self.graph
         d = 1 << g.n
-        cols = np.arange(d, dtype=np.int64)
-        # Column b of the real ket matrix is the accept ket K_b.
-        kets = np.zeros((d * d, d))
-        for b, signs, flips in _accept_rows(g):
-            kets[cols * d + flips, b] = signs / np.sqrt(d)
+        # frame = sqrt(d) W^T, so column v of the ket matrix is w_v (x) w_v.
+        frame = _frame_amplitudes(g, np.eye(d)).reshape(d, d)
+        kets = (frame[:, None, :] * frame[None, :, :]).reshape(d * d, d) / d
         omega = Operator(kets @ kets.T, (d, d), hermitian=True)
         return Strategy(omega, graph_state(g), copies=2)
 
@@ -105,42 +157,22 @@ def omega_graph(g: Graph, matrix_free: bool | None = None) -> GraphStrategy:
 # Matrix-free application
 # =====================================================================
 
-def _accept_rows(g: Graph):
-    """Yield (b, S[b, .], u xor b) in row blocks of about _BLOCK_ENTRIES entries.
-
-    b is a (h, 1) column of codewords, S[b, u] = (-1)^popcount(c(b) & u) the
-    (h, d) Walsh signs and u xor b the (h, d) O' indices, so accept ket K_b
-    has entry S[b, u] / sqrt(d) at (u, u xor b).
-    """
-    d = 1 << g.n
-    cols = np.arange(d, dtype=np.int64)
-    codes = parity_accept_indices(g)
-    height = max(1, _BLOCK_ENTRIES // d)
-    for start in range(0, d, height):
-        b = cols[start:start + height, None]
-        yield b, walsh_signs(codes[b], cols), cols ^ b
-
-
-def _accepted_mass(g: Graph, sigma: np.ndarray, sigma_prime: np.ndarray) -> float:
-    """sum_b |<K_b|sigma (x) sigma_prime>|^2, without forming the d x d product."""
-    total = 0.0
-    for _, signs, flips in _accept_rows(g):
-        amps = (signs * sigma_prime[flips]) @ sigma
-        total += float(np.vdot(amps, amps).real)
-    return total / sigma.size
-
-
 def apply_omega(gs: GraphStrategy, vec: np.ndarray) -> np.ndarray:
     """Apply the accept operator to a doubled-space vector without densifying.
 
-    Omega v = sum_b <K_b|v> K_b: each block of overlaps is scattered back onto
-    the same (u, u xor b) entries it was gathered from, in O(4^n) work.
+    Omega v = sum_b <K_b|v> K_b, where K_b has entry D_Gamma[u] D_Gamma[u xor
+    b] / sqrt(d) at (u, u xor b): (-1)^(c(b).u) up to a sign of b alone. Each
+    row block of b is gathered and scattered back on the same entries.
     """
     d = 1 << gs.graph.n
     cols = np.arange(d, dtype=np.int64)
+    frame = _frame_signs(gs.graph)
     v = np.asarray(vec, dtype=complex).reshape(d, d)
     out = np.zeros((d, d), dtype=complex)
-    for _, signs, flips in _accept_rows(gs.graph):
+    height = max(1, _BLOCK_ENTRIES // d)
+    for start in range(0, d, height):
+        flips = cols ^ cols[start:start + height, None]
+        signs = frame * frame[flips]
         amps = (signs * v[cols, flips]).sum(axis=1, keepdims=True) / d
         out[cols, flips] = signs * amps
     return out.reshape(-1)
@@ -170,49 +202,6 @@ class GraphOptimalityReport:
     route: str
 
 
-@functools.lru_cache(maxsize=8)
-def _half_factors(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Walsh signs S of k index bits and the stacked parity matrices [(1 + S)/2; (1 - S)/2].
-
-    Row b of (1 + S)/2 marks the v with b.v even, of (1 - S)/2 those with b.v
-    odd. Both are symmetric, so the transpose of the stack is [even | odd].
-    Read-only; a graph state on at most 13 vertices needs k <= 7, eight sizes
-    under 0.5 MB in all.
-    """
-    idx = np.arange(1 << k, dtype=np.int64)
-    walsh = walsh_signs(idx[:, None], idx)
-    parity = np.concatenate(((1.0 + walsh) / 2.0, (1.0 - walsh) / 2.0))
-    walsh.flags.writeable = parity.flags.writeable = False
-    return walsh, parity
-
-
-def _frame_signs(g: Graph) -> np.ndarray:
-    """D_Gamma[u] = (-1)^(sum_{i<j} Gamma_ij u_i u_j) for the linear map Gamma of g's code table.
-
-    Gamma is read off the table at the unit flips and checked in O(n 2^n):
-    zero diagonal (every accept ket swap-symmetric), symmetric, and c(b) =
-    Gamma b for every b. The exponent is the parity of u & U u, where U is
-    the part of Gamma above the diagonal, summed over the bits of u as c is
-    in the linearity check. The signs come from the code table alone, never
-    from the target, so a wrong target cannot certify itself. Raises
-    ValueError if a check fails.
-    """
-    codes = parity_accept_indices(g)
-    bits = np.arange(g.n, dtype=np.int64)
-    units = codes[1 << bits]
-    gamma = (units >> bits[:, None]) & 1
-    if gamma.diagonal().any():
-        raise ValueError("an accept ket is swap-antisymmetric; the graph is not simple")
-    if (gamma != gamma.T).any():
-        raise ValueError("the parity code table is not a symmetric map")
-    idx = np.arange(codes.size, dtype=np.int64)
-    on = (idx[:, None] >> bits) & 1
-    if (np.bitwise_xor.reduce(on * units, axis=1) != codes).any():
-        raise ValueError("the parity code table is not linear")
-    upper = np.bitwise_xor.reduce(on * (units & ((1 << bits) - 1)), axis=1)
-    return walsh_signs(idx, upper)
-
-
 def _frobenius_certificate(g: Graph, psi: np.ndarray) -> float:
     """F = |R' (I - psi psi^T)|_F, one bound on every two-copy compression.
 
@@ -232,12 +221,11 @@ def _frobenius_certificate(g: Graph, psi: np.ndarray) -> float:
     every such stabilizer to +-Z^b. With phi = W psi and a = phi^2, the
     expectation is E_b - O_b, where E_b sums a over the v with b.v even and
     O_b over those with b.v odd, and E_b + O_b = 1. So F^2 = (4/d) sum_b
-    E_b O_b. W is applied as two products with the Walsh matrices of the
-    index's high and low halves, and E and O come from two products with
-    the halves' stacked even/odd parity matrices: O(2^(1.5 n)) work, and no
-    accept-ket entry is formed. Every sum in E and O is of non-negative
-    terms, so F keeps its absolute precision near 0, where
-    1 - (E_b - O_b)^2 would cancel.
+    E_b O_b. W is applied by _frame_amplitudes, and E and O come from two
+    products with the index halves' stacked even/odd parity matrices:
+    O(2^(1.5 n)) work, and no accept-ket entry is formed. Every sum in E
+    and O is of non-negative terms, so F keeps its absolute precision near
+    0, where 1 - (E_b - O_b)^2 would cancel.
 
     Raises ValueError if psi has an imaginary part (every graph state is
     real) or if the code table fails a check of _frame_signs.
@@ -245,11 +233,11 @@ def _frobenius_certificate(g: Graph, psi: np.ndarray) -> float:
     if np.imag(psi).any():
         raise ValueError("the certificate takes a real target; psi has an imaginary part")
     psi = np.real(psi)
-    walsh_hi, parity_hi = _half_factors(g.n - g.n // 2)
-    walsh_lo, parity_lo = _half_factors(g.n // 2)
-    hi, lo = len(walsh_hi), len(walsh_lo)
+    _, parity_hi = _half_factors(g.n - g.n // 2)
+    _, parity_lo = _half_factors(g.n // 2)
     # amp = sqrt(d) W psi, so E and O below come out scaled by d.
-    amp = walsh_hi @ (_frame_signs(g) * psi).reshape(hi, lo) @ walsh_lo
+    amp = _frame_amplitudes(g, psi)
+    hi, lo = amp.shape
     split = parity_hi @ (amp * amp) @ parity_lo.T
     even = split[:hi, :lo] + split[hi:, lo:]
     odd = split[:hi, lo:] + split[hi:, :lo]
@@ -262,12 +250,9 @@ def verify_graph_optimality(gs: GraphStrategy, tol: float = 1e-9) -> GraphOptima
     Graphs with n <= 3 and a dense operator take their exact scalars from
     two_copy_analysis (route "dense"). Otherwise (route "matrix_free") the
     scalars are the upper bounds 2F^2, F^2 and 3F^2/2, with F from
-    _frobenius_certificate: the target is taken to the frame of the
-    disentangling circuit B, whose signs come from the code table, and F is
-    read off the even/odd parity sums of its squared amplitudes, in
-    O(2^(1.5 n)) real arithmetic for d = 2^n, with no basis of target-perp
-    and no eigensolve. Both routes report F as the annihilation residual.
-    Failures are reported, not raised.
+    _frobenius_certificate in O(2^(1.5 n)) real arithmetic, with no basis of
+    target-perp and no eigensolve. Both routes report F as the annihilation
+    residual. Failures are reported, not raised.
     """
     g = gs.graph
     frob = _frobenius_certificate(g, graph_state(g).amplitudes)
@@ -312,6 +297,12 @@ def graph_pass_probability(gs: GraphStrategy, sigma: Ket, sigma_prime: Ket) -> t
     if perp is not None and perp_p is not None:
         analytic += eps_r * eps_rp * _accepted_mass(g, perp, perp_p)
     return exact, analytic
+
+
+def _accepted_mass(g: Graph, sigma: np.ndarray, sigma_prime: np.ndarray) -> float:
+    """<sigma (x) sigma'|Omega|sigma (x) sigma'> = sum_v |<w_v|sigma>|^2 |<w_v|sigma'>|^2."""
+    amps = np.abs(_frame_amplitudes(g, np.stack((sigma, sigma_prime)))) ** 2
+    return float(np.vdot(amps[0], amps[1])) / sigma.size**2
 
 
 def _split_against_target(vec: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray | None]:

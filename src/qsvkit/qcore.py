@@ -214,9 +214,13 @@ def first_complement_vector(psi: Ket | np.ndarray) -> np.ndarray:
     """Column 0 of orthonormal_complement(psi), bit for bit, in O(D) memory.
 
     That column depends only on the first two Householder reflectors, so the
-    QR of [psi | e0] alone reproduces it.
+    QR of [psi | e0] alone reproduces it. Raises ValueError for a dimension-1
+    psi, which has no orthogonal direction.
     """
-    return _complement_columns(psi, 1)[:, 0]
+    column = _complement_columns(psi, 1)
+    if column.shape[1] == 0:
+        raise ValueError("a dimension-1 target has no orthogonal direction")
+    return column[:, 0]
 
 
 def _complement_columns(psi: Ket | np.ndarray, count: int | None) -> np.ndarray:

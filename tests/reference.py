@@ -6,7 +6,7 @@ the protocol's accept decision as a comparison of codes, the per-verifier
 pair order bit by bit, regrouped tensor powers by listing every product, the
 MUB strategy's tests as sums of Kronecker products one basis vector at a time,
 the worst-case oracle's search one run and one sphere problem at a time, and
-the graph certificate over every accept-ket entry.
+the graph certificate and pass probability over every accept-ket entry.
 Tests check the package against these, and these on hand examples.
 """
 
@@ -14,10 +14,10 @@ import math
 
 import numpy as np
 
-from qsvkit import graph_strategy, montecarlo
+from qsvkit import montecarlo
 from qsvkit.ghz import _MUB_TABLES, GhzSpec
-from qsvkit.graphs import Graph, GraphCode
-from qsvkit.qcore import DENSE_DIM_CAP, Ket, Operator, orthonormal_complement
+from qsvkit.graphs import Graph, GraphCode, parity_accept_indices
+from qsvkit.qcore import DENSE_DIM_CAP, Ket, Operator, orthonormal_complement, walsh_signs
 from qsvkit.strategy import Strategy
 
 
@@ -56,6 +56,32 @@ def interleaved_permutation(n: int) -> np.ndarray:
     return i
 
 
+def accept_rows(g: Graph):
+    """Yield (b, S[b, .], u xor b) in row blocks of about 2^20 entries.
+
+    b is a (h, 1) column of codewords, S[b, u] = (-1)^popcount(c(b) & u) the
+    (h, d) Walsh signs of the parity code c(b) read straight off the code
+    table, and u xor b the (h, d) O' indices, so accept ket K_b has entry
+    S[b, u] / sqrt(d) at (u, u xor b).
+    """
+    d = 1 << g.n
+    cols = np.arange(d, dtype=np.int64)
+    codes = parity_accept_indices(g)
+    height = max(1, (1 << 20) // d)
+    for start in range(0, d, height):
+        b = cols[start:start + height, None]
+        yield b, walsh_signs(codes[b], cols), cols ^ b
+
+
+def streamed_accepted_mass(g: Graph, sigma: np.ndarray, sigma_prime: np.ndarray) -> float:
+    """sum_b |<K_b|sigma (x) sigma_prime>|^2 over every accept-ket entry, in O(4^n) work."""
+    total = 0.0
+    for _, signs, flips in accept_rows(g):
+        amps = (signs * sigma_prime[flips]) @ sigma
+        total += float(np.vdot(amps, amps).real)
+    return total / sigma.size
+
+
 def streamed_frobenius_certificate(g: Graph, psi: np.ndarray) -> float:
     """F = |R' (I - psi psi^dag)|_F with every entry of R' formed, one row block at a time.
 
@@ -63,7 +89,7 @@ def streamed_frobenius_certificate(g: Graph, psi: np.ndarray) -> float:
     accept-ket row blocks in O(4^n) work; psi may be complex.
     """
     total = 0.0
-    for _, signs, flips in graph_strategy._accept_rows(g):
+    for _, signs, flips in accept_rows(g):
         rows = signs * psi[flips]
         rows -= np.outer(rows @ psi, psi.conj())
         total += float(np.vdot(rows, rows).real)

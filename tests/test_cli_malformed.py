@@ -171,6 +171,12 @@ def test_malformed_strategy_files_exit_2_with_one_line(doc, command):
     run_on_file(json.dumps(doc), [command, "--strategy"])
 
 
+def test_simulate_epsilon_on_a_dimension_1_strategy_exits_2_with_one_line():
+    # A valid strategy whose target has no orthogonal direction to mix in.
+    doc = {"dims": [1], "copies": 1, "target": [[1.0, 0.0]], "omega": [[1.0, 0.0]]}
+    run_on_file(json.dumps(doc), ["simulate", "--epsilon", "0.1", "--strategy"])
+
+
 @given(text=TEXT)
 @settings(max_examples=100, deadline=None)
 def test_strategy_files_that_are_not_objects_exit_2_with_one_line(text):

@@ -1,5 +1,7 @@
 """Bell-measurement graph strategies: operator, matrix-free path, verification."""
 
+import ast
+import inspect
 import time
 
 import numpy as np
@@ -21,9 +23,11 @@ from qsvkit.graph_strategy import (
 from qsvkit.graphs import Graph, GraphCode, graph_state
 from qsvkit.qcore import Ket, bell_ket, orthonormal_complement
 from reference import (
+    accept_rows,
     decide_parity_pass,
     interleaved_permutation,
     parity_code,
+    streamed_accepted_mass,
     streamed_frobenius_certificate,
 )
 
@@ -159,7 +163,7 @@ def test_bell_outcome_amplitudes_true_state_mass_on_accepted_set():
         target = graph_state(g).amplitudes
         pair = np.kron(target, target)
         accepted = 0.0
-        for b, signs, flips in graph_strategy._accept_rows(g):
+        for b, signs, flips in accept_rows(g):
             kets = np.zeros((b.shape[0], d * d))
             np.put_along_axis(kets, np.arange(d) * d + flips, signs / np.sqrt(d), axis=1)
             accepted += float(np.sum(np.abs(kets @ pair) ** 2))
@@ -249,19 +253,14 @@ def test_frobenius_certificate_bounds_dense_compressions_off_target(rng):
 
 def test_accept_row_consumers_do_not_depend_on_the_block_height(monkeypatch, rng):
     # Small graphs fit one block; shrink the blocks to 1, 3 and 6 rows of 16,
-    # the last one ragged, so every block boundary is crossed. Every consumer
-    # of the accept-ket row blocks is checked at each height.
-    sigma, sigma_p = (Ket(random_unit(rng, 16), (2,) * 4) for _ in range(2))
+    # the last one ragged, so every block boundary is crossed. apply_omega is
+    # the one consumer that still walks the accept kets in row blocks.
     vec = random_unit(rng, 256)
     gs = omega_graph(STAR4, matrix_free=False)
     omega = gs.strategy.omega.entries
-    pass_one_block = graph_pass_probability(gs, sigma, sigma_p)
     for entries in (16, 48, 100):
         monkeypatch.setattr(graph_strategy, "_BLOCK_ENTRIES", entries)
-        assert np.array_equal(omega_graph(STAR4, matrix_free=False).strategy.omega.entries, omega)
         assert np.max(np.abs(apply_omega(gs, vec) - omega @ vec)) < 1e-12
-        got = graph_pass_probability(gs, sigma, sigma_p)
-        assert max(abs(x - y) for x, y in zip(got, pass_one_block)) < 1e-12
 
 
 def test_frobenius_certificate_agrees_across_dtypes(rng):
@@ -331,7 +330,7 @@ def test_frobenius_certificate_rejects_a_swap_antisymmetric_accept_ket(monkeypat
         _frobenius_certificate(Graph(1), np.array([1.0, 0.0], dtype=complex))
 
 
-@pytest.mark.parametrize(
+MALFORMED_TABLES = pytest.mark.parametrize(
     "table, message",
     [
         # c(01) = 10 and c(10) = 00: linear, zero diagonal, Gamma not symmetric.
@@ -340,10 +339,54 @@ def test_frobenius_certificate_rejects_a_swap_antisymmetric_accept_ket(monkeypat
         ([0, 2, 1, 0], "linear"),
     ],
 )
+
+
+@MALFORMED_TABLES
 def test_frobenius_certificate_rejects_a_malformed_code_table(monkeypatch, table, message):
     monkeypatch.setattr(graph_strategy, "parity_accept_indices", lambda g: np.array(table))
     with pytest.raises(ValueError, match=message):
         _frobenius_certificate(PATH2, graph_state(PATH2).amplitudes)
+
+
+@MALFORMED_TABLES
+def test_every_consumer_rejects_a_malformed_code_table(monkeypatch, rng, table, message):
+    # The dense build, apply_omega and the pass probability read the code
+    # table through the same checks as the certificate.
+    monkeypatch.setattr(graph_strategy, "parity_accept_indices", lambda g: np.array(table))
+    target = graph_state(PATH2)
+    consumers = (
+        lambda: omega_graph(PATH2, matrix_free=False).strategy,
+        lambda: apply_omega(omega_graph(PATH2), random_unit(rng, 16)),
+        lambda: graph_pass_probability(omega_graph(PATH2), target, target),
+    )
+    for consumer in consumers:
+        with pytest.raises(ValueError, match=message):
+            consumer()
+
+
+def test_only_the_frame_signs_read_the_code_table():
+    # graph_strategy names parity_accept_indices in its import and inside
+    # _frame_signs, nowhere else, so every consumer passes its checks.
+    tree = ast.parse(inspect.getsource(graph_strategy))
+    frame = next(
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_frame_signs"
+    )
+    inside = {id(node) for node in ast.walk(frame)}
+    readers = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id == "parity_accept_indices"
+    ]
+    imports = [
+        alias for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        for alias in node.names if alias.name == "parity_accept_indices"
+    ]
+    assert len(imports) == 1
+    assert readers and all(id(node) in inside for node in readers)
+    assert not any(
+        isinstance(node, ast.Attribute) and node.attr == "parity_accept_indices"
+        for node in ast.walk(tree)
+    )
 
 
 def test_verification_fails_on_a_wrong_graph_state(monkeypatch):
@@ -407,6 +450,50 @@ def test_graph_pass_probability_exact_matches_analytic(rng):
             exact, analytic = graph_pass_probability(gs := omega_graph(g, matrix_free=False), sigma, sigma_p)
             assert abs(exact - analytic) < 1e-10
             assert 0.0 <= exact <= 1.0 + 1e-12
+
+
+def test_graph_pass_probability_matches_the_streamed_reference(rng):
+    # The frame sum against the sum over every accept-ket entry, on random
+    # complex inputs: every connected graph with n <= 5, then rings 6 to 9.
+    graphs_ = [g for n in range(1, 6) for g in connected_graphs(n)]
+    graphs_ += [ring(n) for n in range(6, 10)]
+    for g in graphs_:
+        d = 1 << g.n
+        sigma, sigma_p = (Ket(random_unit(rng, d), (2,) * g.n) for _ in range(2))
+        exact, _ = graph_pass_probability(omega_graph(g), sigma, sigma_p)
+        want = streamed_accepted_mass(g, sigma.amplitudes, sigma_p.amplitudes)
+        assert abs(exact - want) <= 1e-12
+
+
+def test_graph_pass_probability_is_the_graph_basis_overlap():
+    # Omega = sum_v P_v (x) P_v with P_v the projector onto Z^v|G>, built
+    # here from graph_state and popcount signs alone: the product of two
+    # graph basis states passes with probability delta_(v, v').
+    for g in (PATH2, TRIANGLE, STAR4, CYCLE5):
+        d = 1 << g.n
+        gs = omega_graph(g)
+        target = graph_state(g).amplitudes
+        idx = np.arange(d)
+        basis = [
+            Ket(target * (-1.0) ** np.bitwise_count(v & idx), (2,) * g.n) for v in range(d)
+        ]
+        for v, sigma in enumerate(basis):
+            for w, sigma_p in enumerate(basis):
+                exact, analytic = graph_pass_probability(gs, sigma, sigma_p)
+                assert abs(exact - (v == w)) < 1e-12
+                assert abs(analytic - (v == w)) < 1e-12
+
+
+def test_graph_pass_probability_ring13_time_and_memory(rng):
+    # Two stacked frame products and the code-table checks, about 2.4 MiB;
+    # no 4^13-entry array and no row stream over the accept kets.
+    g = ring(13)
+    gs = omega_graph(g)
+    sigma, sigma_p = (Ket(random_unit(rng, 1 << 13), (2,) * 13) for _ in range(2))
+    started = time.monotonic()
+    peak = traced_peak_mib(lambda: graph_pass_probability(gs, sigma, sigma_p))
+    assert time.monotonic() - started < 1.0
+    assert peak < 8.0
 
 
 def test_graph_pass_probability_true_state_passes():

@@ -126,6 +126,13 @@ def test_first_complement_vector_is_column_zero_bit_for_bit():
         first_complement_vector(2.0 * targets[0].amplitudes)
 
 
+def test_first_complement_vector_refuses_a_dimension_1_target():
+    with pytest.raises(ValueError, match="no orthogonal direction"):
+        first_complement_vector(Ket(np.array([1.0]), (1,)))
+    with pytest.raises(ValueError, match="no orthogonal direction"):
+        first_complement_vector(np.array([1.0j]))
+
+
 def test_hadamard_conjugation_swaps_x_and_z():
     assert np.allclose(HADAMARD @ PAULI_X @ HADAMARD, PAULI_Z)
 
