@@ -127,9 +127,18 @@ def _hadamard_layer(n: int) -> np.ndarray:
 
 
 def parity_accept_indices(g: Graph) -> np.ndarray:
-    """For every flip-string index x, the accepted phase-string index c(x)."""
+    """For every flip-string index x, the accepted phase-string index c(x).
+
+    c is linear over GF(2). Index 2^p flips vertex n - p alone, so c(2^p) is
+    that vertex's adjacency row read as an index, and the table doubles one
+    bit at a time: c(x + 2^p) = c(x) xor c(2^p) for x < 2^p, O(2^n) work.
+    """
     shifts = np.arange(g.n - 1, -1, -1, dtype=np.int64)
-    return ((_bit_table(g.n) @ g.adjacency()) % 2) @ (1 << shifts)
+    rows = g.adjacency() @ (1 << shifts)
+    codes = np.zeros(1 << g.n, dtype=np.int64)
+    for p in range(g.n):
+        np.bitwise_xor(codes[: 1 << p], rows[g.n - 1 - p], out=codes[1 << p : 2 << p])
+    return codes
 
 
 def graph_state(g: Graph) -> Ket:

@@ -7,11 +7,12 @@ cut into blocks of at most _CHUNK_TRIALS. Philox makes one row per counter
 value, so the block that starts at row r draws its words from its own
 generator with the counter set to r, and the blocks together equal one draw
 of the whole stream. Each block is reduced straight to a pass count. The first
-block runs in the caller, which builds the tables of the keys it draws; a
-pool of one thread per usable core counts the rest, one block per thread at
-a time, so memory does not grow with the trial count. A trial's result is a
-pure function of its own row and the per-component tables, so the block size,
-the worker count and the order in which blocks finish cannot change the pass
+block runs in the caller, which builds the tables of the keys it draws; the
+caller then counts the rest beside one plain thread per further usable core,
+one block per thread at a time, so at most one block per core is held and
+memory does not grow with the trial count. A trial's result is a pure
+function of its own row and the per-component tables, so the block size, the
+worker count and the order in which blocks finish cannot change the pass
 count.
 
 A word w stands for the uniform u = (w >> 11) * 2^-53 that Generator.random
@@ -24,9 +25,9 @@ gather from a table over the top 16 bits of w; only rows whose bucket holds a
 threshold fall back to a binary search. A graph trial draws its joint Bell
 outcome by inverse CDF and accepts on the parity decision; since that
 decision changes only where acceptance flips between neighbouring outcomes,
-each component key keeps just those CDF values, and the trial reads the
-parity of the flips at or below its draw from a per-bucket pass, fail or
-resolve-exactly code.
+each component key keeps just those CDF values, read next to the d accepted
+outcomes of its Bell table, and the trial reads the parity of the flips at
+or below its draw from a per-bucket pass, fail or resolve-exactly code.
 
 Source descriptors are a single ket or a weighted list of kets. Components
 living on a single copy of the target space are drawn independently for each
@@ -71,7 +72,7 @@ _ORACLE_TOL = 1e-10
 _ORACLE_MAX_ITERS = 500
 _ORACLE_PROBE_BOUND = 0.5
 
-# Trials per block of words (32 B each); the caller and each worker hold one block at a time.
+# Trials per block of words (32 B each); the caller and each thread hold one block at a time.
 _CHUNK_TRIALS = 1 << 15
 
 # Threads that count blocks: one per core this process may run on.
@@ -151,10 +152,11 @@ def _count_passes(
     A key is the component word 0 draws or, with pairs (an i.i.d. source on
     two copies), that component * components + the one word 1 draws. The
     first block runs in the caller, so the tables its keys need are built on
-    this thread. A pool of _WORKERS threads counts the rest, each taking the
-    next block until none is left, so block_passes must be safe to call from
-    several threads at once. A failing block stops the workers after their
-    current blocks, and its exception is raised here.
+    this thread. The caller then starts up to _WORKERS - 1 threads and
+    drains the rest beside them, each taking the next block until none is
+    left, so at most _WORKERS blocks are held at once and block_passes must
+    be safe to call from several threads at once. A failing block stops the
+    others after their current blocks, and its exception is raised here.
     """
     comps = len(cfg.source)
     source = _StepLookup(np.cumsum([w for w, _ in cfg.source])[:-1])
@@ -167,35 +169,38 @@ def _count_passes(
             keys += source.count(words[:, 1])
         return block_passes(words, keys)
 
-    passes = count(0)
-    if cfg.trials <= _CHUNK_TRIALS:
-        return passes
-    # Imported here so that `import qsvkit.cli` does not pay for it (about 6 ms).
-    from concurrent.futures import ThreadPoolExecutor
-
-    blocks = iter(range(_CHUNK_TRIALS, cfg.trials, _CHUNK_TRIALS))
+    passes = [count(0)]
+    starts = range(_CHUNK_TRIALS, cfg.trials, _CHUNK_TRIALS)
+    blocks = iter(starts)
     take, stop = threading.Lock(), threading.Event()
+    failures: list[BaseException] = []
 
-    def drain() -> int:
+    def drain() -> None:
         total = 0
-        while not stop.is_set():
-            with take:
-                start = next(blocks, None)
-            if start is None:
-                break
-            try:
+        try:
+            while not stop.is_set():
+                with take:
+                    start = next(blocks, None)
+                if start is None:
+                    break
                 total += count(start)
-            except BaseException:
-                stop.set()
-                raise
-        return total
+        except BaseException as exc:  # raised in the caller, never printed by a thread
+            stop.set()
+            failures.append(exc)
+        passes.append(total)
 
+    threads = [threading.Thread(target=drain) for _ in range(min(_WORKERS, len(starts)) - 1)]
+    for thread in threads:
+        thread.start()
     try:
-        with ThreadPoolExecutor(_WORKERS) as pool:
-            futures = [pool.submit(drain) for _ in range(_WORKERS)]
+        drain()
     finally:
-        stop.set()  # also when the caller is interrupted while it waits
-    return passes + sum(future.result() for future in futures)
+        stop.set()  # also when the caller is interrupted
+        for thread in threads:
+            thread.join()
+    if failures:
+        raise failures[0]
+    return sum(passes)
 
 
 def _mantissas(words: np.ndarray) -> np.ndarray:
@@ -280,58 +285,83 @@ def simulate_protocol(
     return passes, p_emp, stderr
 
 
-def _bell_table(n: int, pair: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
-    """Flattened Bell-outcome distribution of a (d, d) pair amplitude matrix.
+def _bell_table(n: int, amplitudes: np.ndarray, left: np.ndarray | None = None) -> np.ndarray:
+    """Flattened Bell-outcome distribution of a (d, d) pair amplitude matrix P.
 
-    pair(r, s) returns the matrix entries at broadcast index arrays. Entry
-    [z, x] of the table is |sum_r (-1)^popcount(z & r) pair[r, r ^ x]|^2 / d,
-    computed one block of columns at a time by an in-place fast
-    Walsh-Hadamard transform over r, so no d x d Hadamard matrix is formed.
-    The transform runs in the dtype pair returns: real entries give the same
-    table as their complex form, at half the arithmetic.
+    P[r, s] is left[r] * amplitudes[s] for a product pair, else
+    amplitudes[r, s]. Entry [z, x] of the table is
+    |sum_r (-1)^popcount(z & r) P[r, r ^ x]|^2 / d, computed one block of
+    columns at a time by an in-place fast Walsh-Hadamard transform over r,
+    so no d x d Hadamard matrix is formed. Each block is gathered and
+    transformed in two preallocated buffers, one block of amplitudes and one
+    of int64 scratch. The transform runs in the dtype of P: real entries give
+    the same table as their complex form, at half the arithmetic.
     """
     # Shares no code with graph_strategy's accept-ket rows, so the sampler's
     # cross-check stays independent.
     d = 1 << n
     rows = np.arange(d, dtype=np.int64)
-    width = max(1, _TABLE_BLOCK_ENTRIES >> n)
+    dtype = amplitudes.dtype if left is None else np.result_type(left, amplitudes)
+    # P[r, r ^ x] is entry r ^ x of amplitudes, or entry r * d + (r ^ x) of the flat matrix.
+    flat = amplitudes.astype(dtype, copy=False).reshape(-1)
+    width = min(d, max(1, _TABLE_BLOCK_ENTRIES >> n))
+    gathered = np.empty(d * width, dtype=dtype)
+    # The int64 gather index, then the butterflies' half-block copy of the same bytes.
+    scratch = np.empty(d * width, dtype=np.int64)
     probs = np.empty((d, d))
     for start in range(0, d, width):
-        block = pair(rows[:, None], rows[:, None] ^ rows[None, start : start + width])
+        cols = rows[start : start + width]
+        index = scratch[: d * cols.size].reshape(d, cols.size)
+        np.bitwise_xor(rows[:, None], cols, out=index)
+        if left is None:
+            index += rows[:, None] * d
+        block = gathered[: index.size].reshape(index.shape)
+        np.take(flat, index, out=block, mode="clip")  # every index is in range
+        if left is not None:
+            np.multiply(left[:, None], block, out=block)
         half = 1
         while half < d:
             butterfly = block.reshape(d // (2 * half), 2, half, -1)
-            low = butterfly[:, 0].copy()
+            low = scratch.view(dtype)[: block.size // 2].reshape(butterfly[:, 0].shape)
+            np.copyto(low, butterfly[:, 0])
             butterfly[:, 0] += butterfly[:, 1]
             np.subtract(low, butterfly[:, 1], out=butterfly[:, 1])
             half *= 2
-        probs[:, start : start + width] = np.abs(block) ** 2 / d
+        out = probs[:, start : start + width]
+        np.abs(block, out=out)
+        np.square(out, out=out)
+        out /= d
     return probs.reshape(-1)
 
 
 def _acceptance_flips(probs: np.ndarray, accepted: np.ndarray) -> tuple[bool, np.ndarray]:
     """First outcome's acceptance and the CDF values where acceptance flips.
 
-    The drawn outcome is min(#{cum <= u}, m - 1) for the m-entry cum =
-    cumsum(probs), so its acceptance is accepted[0] xor the parity of the
-    flips i (accepted[i] != accepted[i + 1]) with cum[i] <= u. Flips at equal
-    values cancel in pairs; only values repeated an odd number of times are
-    kept. The CDF is taken in place, so probs holds cum on return.
+    accepted holds the sorted indices of the accepted outcomes. The drawn
+    outcome is min(#{cum <= u}, m - 1) for the m-entry cum = cumsum(probs),
+    so its acceptance is that of outcome 0 xor the parity of the flips i
+    (exactly one of i and i + 1 accepted) with cum[i] <= u. Each accepted k
+    names k - 1 and k, and i is a flip iff it is named an odd number of
+    times, so cum is read only at the named entries. Only values named an
+    odd number of times are kept. The CDF is taken in place, so probs holds
+    cum on return.
     """
     cum = np.cumsum(probs, out=probs)
-    values, counts = np.unique(cum[:-1][accepted[:-1] != accepted[1:]], return_counts=True)
-    return bool(accepted[0]), values[counts % 2 == 1]
+    named = np.concatenate([accepted - 1, accepted])
+    named = named[(named >= 0) & (named < cum.size - 1)]
+    values, counts = np.unique(cum[named], return_counts=True)
+    return bool(accepted[0] == 0), values[counts % 2 == 1]
 
 
 def _key_codes(
-    n: int, pair: Callable[[np.ndarray, np.ndarray], np.ndarray], accepted: np.ndarray
+    n: int, accepted: np.ndarray, amplitudes: np.ndarray, left: np.ndarray | None
 ) -> tuple[np.ndarray, bool, np.ndarray]:
     """One key's per-bucket codes, its first outcome's acceptance and its flip ticks.
 
     A function of its own so that the key's d^2-entry table is freed on
     return, before the next key's is built.
     """
-    accept_first, values = _acceptance_flips(_bell_table(n, pair), accepted)
+    accept_first, values = _acceptance_flips(_bell_table(n, amplitudes, left), accepted)
     step = _StepLookup(values)
     codes = (step.table & 1).astype(np.uint8)
     codes ^= accept_first
@@ -349,15 +379,14 @@ def _graph_passes(gs: GraphStrategy, cfg: TrialConfig) -> int:
     kets = [ket.real if not ket.imag.any() else ket for ket in kets]
     comps = len(kets)
 
-    accepted = np.zeros(d * d, dtype=bool)
-    accepted[parity_accept_indices(gs.graph) * d + np.arange(d)] = True
+    # Outcome z * d + x is accepted when z is the parity code c(x).
+    accepted = np.sort(parity_accept_indices(gs.graph) * d + np.arange(d))
 
-    def pair(key: int) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    def pair(key: int) -> tuple[np.ndarray, np.ndarray | None]:
+        """_bell_table's (amplitudes, left) for a key."""
         if iid:
-            a, b = kets[key // comps], kets[key % comps]
-            return lambda r, s: a[r] * b[s]
-        amplitudes = kets[key].reshape(d, d)
-        return lambda r, s: amplitudes[r, s]
+            return kets[key % comps], kets[key // comps]
+        return kets[key].reshape(d, d), None
 
     # A key gets its row of _BUCKETS per-bucket codes on first use; slots[key]
     # is that row. Rows are added under the lock and never change after.
@@ -375,7 +404,7 @@ def _graph_passes(gs: GraphStrategy, cfg: TrialConfig) -> int:
             if missing.any():
                 missing &= np.bincount(keys, minlength=num_keys) > 0
             for key in np.flatnonzero(missing):
-                key_codes, accept_first, ticks = _key_codes(n, pair(key), accepted)
+                key_codes, accept_first, ticks = _key_codes(n, accepted, *pair(key))
                 codes = np.concatenate([codes, key_codes])
                 slots[key] = len(exact)
                 exact.append((accept_first, ticks))

@@ -16,20 +16,34 @@ def rng():
 
 @pytest.fixture
 def second_key_refused(monkeypatch):
-    """The sampler's second Bell table raises ValueError, and the caller's block draws one trial.
+    """The first Bell table built off the main thread raises ValueError.
 
-    Returns a list that records, per table built, whether it was built off the main thread.
+    The caller's block draws one trial and builds the first key's table. The
+    caller then waits before drawing another block until a table has been
+    refused, so a worker, never the caller, meets the second key, whichever
+    thread would have won the race. Returns a list that records, per table
+    built, whether it was built off the main thread.
     """
-    bell_table, threads = montecarlo._bell_table, []
+    bell_table, block_words, threads = montecarlo._bell_table, montecarlo._block_words, []
+    refused = threading.Event()
 
-    def refusing(n, pair):
-        threads.append(threading.current_thread() is not threading.main_thread())
-        if len(threads) == 2:
+    def refusing(*args):
+        off_main = threading.current_thread() is not threading.main_thread()
+        threads.append(off_main)
+        if off_main and not refused.is_set():
+            refused.set()
             raise ValueError("second key refused")
-        return bell_table(n, pair)
+        return bell_table(*args)
+
+    def held(seed, start, rows):
+        if start and threading.current_thread() is threading.main_thread():
+            refused.wait(timeout=60)
+        return block_words(seed, start, rows)
 
     monkeypatch.setattr(montecarlo, "_bell_table", refusing)
+    monkeypatch.setattr(montecarlo, "_block_words", held)
     monkeypatch.setattr(montecarlo, "_CHUNK_TRIALS", 1)
+    monkeypatch.setattr(montecarlo, "_WORKERS", 2)
     return threads
 
 

@@ -5,8 +5,11 @@ vectorized or closed forms in the package: parity codes one code at a time,
 the protocol's accept decision as a comparison of codes, the per-verifier
 pair order bit by bit, regrouped tensor powers by listing every product, the
 MUB strategy's tests as sums of Kronecker products one basis vector at a time,
-the worst-case oracle's search one run and one sphere problem at a time, and
-the graph certificate and pass probability over every accept-ket entry.
+the worst-case oracle's search one run and one sphere problem at a time, the
+graph certificate and pass probability over every accept-ket entry, the
+parity code table as one matrix product over every bit string, and the
+sampler's Bell tables and acceptance flips over freshly allocated
+temporaries and a full d^2-entry acceptance mask.
 Tests check the package against these, and these on hand examples.
 """
 
@@ -27,6 +30,13 @@ def parity_code(g: Graph, b: GraphCode) -> GraphCode:
         raise ValueError(f"code length {len(b)} does not match vertex count {g.n}")
     out = (g.adjacency() @ np.array(b.bits, dtype=np.int64)) % 2
     return GraphCode(out.tolist())
+
+
+def parity_code_table(g: Graph) -> np.ndarray:
+    """c(x) for every index x at once: the (2^n, n) bit table times the adjacency, mod 2."""
+    shifts = np.arange(g.n - 1, -1, -1, dtype=np.int64)
+    bits = (np.arange(1 << g.n, dtype=np.int64)[:, None] >> shifts) & 1
+    return ((bits @ g.adjacency()) % 2) @ (1 << shifts)
 
 
 def decide_parity_pass(g: Graph, b: GraphCode, b_prime: GraphCode) -> bool:
@@ -94,6 +104,41 @@ def streamed_frobenius_certificate(g: Graph, psi: np.ndarray) -> float:
         rows -= np.outer(rows @ psi, psi.conj())
         total += float(np.vdot(rows, rows).real)
     return float(np.sqrt(total / psi.size))
+
+
+def bell_table(n: int, pair) -> np.ndarray:
+    """The sampler's Bell table with every step on fresh temporaries.
+
+    pair(r, s) returns the pair amplitude matrix's entries at broadcast index
+    arrays; the blocks, butterflies and rounding steps are those of
+    montecarlo._bell_table, so the two tables agree bit for bit.
+    """
+    d = 1 << n
+    rows = np.arange(d, dtype=np.int64)
+    width = max(1, montecarlo._TABLE_BLOCK_ENTRIES >> n)
+    probs = np.empty((d, d))
+    for start in range(0, d, width):
+        block = pair(rows[:, None], rows[:, None] ^ rows[None, start : start + width])
+        half = 1
+        while half < d:
+            butterfly = block.reshape(d // (2 * half), 2, half, -1)
+            low = butterfly[:, 0].copy()
+            butterfly[:, 0] += butterfly[:, 1]
+            np.subtract(low, butterfly[:, 1], out=butterfly[:, 1])
+            half *= 2
+        probs[:, start : start + width] = np.abs(block) ** 2 / d
+    return probs.reshape(-1)
+
+
+def acceptance_flips(probs: np.ndarray, accepted: np.ndarray) -> tuple[bool, np.ndarray]:
+    """First outcome's acceptance and the CDF values where a boolean mask flips.
+
+    accepted is the full m-entry mask; the flips are read off it directly,
+    and values repeated an even number of times cancel. probs is left as is.
+    """
+    cum = np.cumsum(probs)
+    values, counts = np.unique(cum[:-1][accepted[:-1] != accepted[1:]], return_counts=True)
+    return bool(accepted[0]), values[counts % 2 == 1]
 
 
 def tensor_power_spec(spec: GhzSpec, k: int) -> GhzSpec:

@@ -420,6 +420,19 @@ def test_cli_import_leaves_scipy_out():
     assert proc.stdout.strip() == "False"
 
 
+def test_cli_import_leaves_the_thread_pool_and_the_random_module_out():
+    # The sampler starts plain threads and imports numpy.random only when it draws.
+    probe = (
+        "import sys, qsvkit.cli; "
+        "print(sorted({'concurrent.futures', 'numpy.random'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def run_ring13_in_3gb(tmp_path, command: str, *flags: str) -> subprocess.CompletedProcess:
     """Run a command on an n = 13 ring, the largest graph the dense-dimension cap admits."""
     ring = "n 13\n" + "".join(f"{i} {i % 13 + 1}\n" for i in range(1, 14))

@@ -21,7 +21,7 @@ from qsvkit.graphs import (
     phase_aligned_deviation,
 )
 from qsvkit.qcore import HADAMARD, Ket, PAULI_X, PAULI_Z, bell_ket
-from reference import interleaved_permutation, parity_code
+from reference import interleaved_permutation, parity_code, parity_code_table
 
 
 PATH2 = Graph(2, [(1, 2)])
@@ -98,6 +98,25 @@ def test_parity_code_is_linear(data):
         for x, y in zip(parity_code(g, code1).bits, parity_code(g, code2).bits)
     )
     assert lhs == rhs
+
+
+def ring(n: int) -> Graph:
+    """Cycle on n vertices; one edge at n = 2, none at n = 1."""
+    return Graph(n, [(i, i % n + 1) for i in range(1, n + 1)] if n > 2 else [(1, 2)][: n - 1])
+
+
+def test_parity_accept_indices_equal_the_bit_table_product():
+    # The doubled table is linear by construction; the product reads every row independently.
+    subjects = [g for n in range(1, 6) for g in connected_graphs(n)]
+    subjects += [ring(n) for n in range(1, 14)] + [Graph(4, [(1, 2)]), Graph(3)]
+    for g in subjects:
+        table = graphs.parity_accept_indices(g)
+        assert table.dtype == np.int64
+        assert np.array_equal(table, parity_code_table(g)), g
+    table = graphs.parity_accept_indices(TRIANGLE)
+    for b in range(1 << TRIANGLE.n):
+        code = GraphCode(format(b, "03b"))
+        assert table[code.index()] == parity_code(TRIANGLE, code).index()
 
 
 # ---------------------------------------------------------------------

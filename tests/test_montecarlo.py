@@ -3,6 +3,7 @@
 import ast
 import math
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from qsvkit.montecarlo import (
 )
 from qsvkit.qcore import Ket, Operator, bell_ket, orthonormal_complement
 from qsvkit.strategy import Strategy, reference_bell_artifacts
-from reference import alternate, sphere_max, worst_case_search
+from reference import acceptance_flips, alternate, bell_table, sphere_max, worst_case_search
 
 
 PATH2 = Graph(2, [(1, 2)])
@@ -177,9 +178,7 @@ def test_graph_sampler_follows_the_uniform_rule_on_threshold_words(monkeypatch):
     d = 8
     accepted = np.zeros(d * d, dtype=bool)
     accepted[parity_accept_indices(g) * d + np.arange(d)] = True
-    cums = [
-        np.cumsum(montecarlo._bell_table(3, lambda r, s: a[r] * b[s])) for a in kets for b in kets
-    ]
+    cums = [np.cumsum(montecarlo._bell_table(3, b, a)) for a in kets for b in kets]
     flips = np.concatenate([c[:-1][accepted[:-1] != accepted[1:]] for c in cums])
     cum_w = np.cumsum([w for w, _ in source])
     words = threshold_words(rng, [near(rng, cum_w), near(rng, cum_w), near(rng, flips), [0]])
@@ -201,12 +200,56 @@ def test_bell_table_matches_the_hadamard_product(monkeypatch, n, block):
     a, b = closed_form_ket(d, 0.3 + n), closed_form_ket(d, 1.9 * n)
     pair = closed_form_ket(d * d, 0.61 * n).reshape(d, d)
     for matrix, table in (
-        (np.outer(a, b), montecarlo._bell_table(n, lambda r, s: a[r] * b[s])),
-        (pair, montecarlo._bell_table(n, lambda r, s: pair[r, s])),
+        (np.outer(a, b), montecarlo._bell_table(n, b, a)),
+        (pair, montecarlo._bell_table(n, pair)),
     ):
         gathered = matrix[rows[:, None], rows[None, :] ^ rows[:, None]]
         reference = np.abs((hadamard @ gathered / np.sqrt(d)).reshape(-1)) ** 2
         assert np.max(np.abs(table - reference)) <= 1e-12
+    # Bit for bit the table of fresh temporaries, for complex, real and mixed pairs.
+    for left, right in ((a, b), (a.real, b.real), (a.real, b), (a, b.real)):
+        assert np.array_equal(
+            montecarlo._bell_table(n, right, left),
+            bell_table(n, lambda r, s: left[r] * right[s]),
+        )
+    for matrix in (pair, pair.real):
+        assert np.array_equal(
+            montecarlo._bell_table(n, matrix), bell_table(n, lambda r, s: matrix[r, s])
+        )
+
+
+def random_accepted_indices(rng, d: int, codes: np.ndarray | None = None) -> np.ndarray:
+    """Sorted accepted outcomes c(x) * d + x, for a given or uniformly random code table c."""
+    if codes is None:
+        codes = rng.integers(0, d, size=d)
+    return np.sort(codes * d + np.arange(d))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_acceptance_flips_match_the_full_mask_rule(rng, n):
+    d = 1 << n
+    adjacent = np.repeat(rng.integers(0, d, size=max(1, d // 4)), 4)[:d]  # c(x + 1) = c(x) in runs
+    ends = np.r_[0, rng.integers(0, d, size=d - 2), d - 1]  # outcomes 0 and d^2 - 1 accepted
+    sparse = rng.random(d * d)
+    sparse[rng.random(d * d) < 0.7] = 0.0  # runs of repeated CDF values
+    sparse[-1] = 1.0
+    ring_codes = parity_accept_indices(ring(n))
+    tables = [
+        ("random", rng.random(d * d), random_accepted_indices(rng, d)),
+        ("adjacent", rng.random(d * d), random_accepted_indices(rng, d, adjacent)),
+        ("ends", rng.random(d * d), random_accepted_indices(rng, d, ends)),
+        ("ring", rng.random(d * d), random_accepted_indices(rng, d, ring_codes)),
+        ("repeated", sparse, random_accepted_indices(rng, d)),
+        ("repeated-adjacent", sparse.copy(), random_accepted_indices(rng, d, adjacent)),
+    ]
+    for name, probs, accepted in tables:
+        probs /= probs.sum()
+        mask = np.zeros(d * d, dtype=bool)
+        mask[accepted] = True
+        first, values = acceptance_flips(probs, mask)
+        got_first, got_values = montecarlo._acceptance_flips(probs.copy(), accepted)
+        assert got_first == first, name
+        assert np.array_equal(got_values, values), name
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -218,12 +261,11 @@ def test_real_kets_give_the_complex_bell_table(n):
     assert not target.imag.any() and not perp.imag.any()
     pairs = [(target, target), (target, perp), (perp, target), (perp, perp)]
     for a, b in pairs:
-        complex_table = montecarlo._bell_table(n, lambda r, s: a[r] * b[s])
-        real_table = montecarlo._bell_table(n, lambda r, s: a.real[r] * b.real[s])
-        assert np.array_equal(real_table, complex_table)
+        complex_table = montecarlo._bell_table(n, b, a)
+        assert np.array_equal(montecarlo._bell_table(n, b.real, a.real), complex_table)
     pair = np.kron(target, perp).reshape(d, d)
-    complex_table = montecarlo._bell_table(n, lambda r, s: pair[r, s])
-    assert np.array_equal(montecarlo._bell_table(n, lambda r, s: pair.real[r, s]), complex_table)
+    complex_table = montecarlo._bell_table(n, pair)
+    assert np.array_equal(montecarlo._bell_table(n, pair.real), complex_table)
 
 
 # ---------------------------------------------------------------------
@@ -505,6 +547,30 @@ def test_pass_counts_do_not_depend_on_the_worker_count(monkeypatch, workers):
         assert chunk_invariance_runs() == default
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_blocks_are_drawn_on_at_most_one_thread_per_worker(monkeypatch, workers):
+    # The caller draws blocks too, so a run holds at most _WORKERS blocks of words at once.
+    default = chunk_invariance_runs()
+    monkeypatch.setattr(montecarlo, "_WORKERS", workers)
+    monkeypatch.setattr(montecarlo, "_CHUNK_TRIALS", 7)
+    drawers = set()
+    block_words = montecarlo._block_words
+
+    def recording(seed, start, rows):
+        drawers.add(threading.get_ident())
+        return block_words(seed, start, rows)
+
+    monkeypatch.setattr(montecarlo, "_block_words", recording)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # threads switch often, so each worker gets blocks
+    try:
+        assert chunk_invariance_runs() == default
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.get_ident() in drawers
+    assert len(drawers) <= workers
 
 
 def test_a_failing_block_raises_in_the_caller(second_key_refused):
