@@ -10,6 +10,8 @@ The parser built by build_parser is the only record of the flags and their
 defaults: each command reads the parsed namespace directly, after one check
 refuses the values argparse cannot rule out (ranges, the theta-grid syntax,
 and an input given as neither or both of --graph and --strategy).
+Each command imports numpy and the qsvkit modules it runs only after that
+check, so a rejected flag exits before numpy loads.
 
 All numeric output is serialized with 10 significant digits and a trailing
 newline, independent of locale. Infinite quantities appear as the string
@@ -24,23 +26,10 @@ import argparse
 import json
 import math
 import sys
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .ghz import GhzSpec, n_de_k
-from .graph_strategy import fidelity_from_passrate, omega_graph, verify_graph_optimality
-from .graphs import graph_state, load_graph
-from .montecarlo import TrialConfig, simulate_protocol, source_fidelity
-from .qcore import Ket, first_complement_vector
-from .strategy import (
-    TwoCopyAnalysis,
-    analysis_from_scalars,
-    lambda2,
-    single_copy_complexity,
-    strategy_from_json,
-    two_copy_analysis,
-    two_copy_complexity,
-)
+if TYPE_CHECKING:
+    from .strategy import TwoCopyAnalysis
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -210,7 +199,12 @@ def _write_text(text: str, out_path: str | None) -> None:
 
 def cmd_analyze(ns: argparse.Namespace) -> int:
     """Eigenvalue scalars plus sample counts for a graph or strategy input."""
+    from .strategy import analysis_from_scalars, lambda2, single_copy_complexity, two_copy_analysis
+
     if ns.graph_path is not None:
+        from .graph_strategy import omega_graph, verify_graph_optimality
+        from .graphs import load_graph
+
         g = load_graph(ns.graph_path)
         opt = verify_graph_optimality(omega_graph(g))
         analysis = analysis_from_scalars(opt.lambda_star, opt.gamma_star, opt.xi_star, ns.epsilon)
@@ -238,6 +232,8 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
 
 
 def _two_copy_report(analysis: TwoCopyAnalysis, ns: argparse.Namespace) -> int:
+    from .strategy import two_copy_complexity
+
     report = {
         "lambda_star": analysis.lambda_star,
         "gamma_star": analysis.gamma_star,
@@ -259,6 +255,8 @@ def _two_copy_report(analysis: TwoCopyAnalysis, ns: argparse.Namespace) -> int:
 
 
 def _load_strategy(path: str):
+    from .strategy import strategy_from_json
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -272,6 +270,11 @@ def _load_strategy(path: str):
 
 def cmd_curves(ns: argparse.Namespace) -> int:
     """Desk-scale tables for the two comparison figures."""
+    import numpy as np
+
+    from .ghz import GhzSpec, n_de_k
+    from .strategy import analysis_from_scalars, single_copy_complexity, two_copy_complexity
+
     if ns.figure == "fig3":
         free = analysis_from_scalars(0.0, 0.0, 0.0)
         rows = []
@@ -304,6 +307,11 @@ def cmd_curves(ns: argparse.Namespace) -> int:
 
 def cmd_simulate(ns: argparse.Namespace) -> int:
     """Sample the protocol and report the empirical pass rate."""
+    from .graph_strategy import fidelity_from_passrate, omega_graph
+    from .graphs import graph_state, load_graph
+    from .montecarlo import TrialConfig, simulate_protocol, source_fidelity
+    from .qcore import Ket, first_complement_vector
+
     if ns.graph_path is not None:
         subject = omega_graph(load_graph(ns.graph_path))
         target = graph_state(subject.graph)

@@ -229,9 +229,9 @@ class _StepLookup:
     def __init__(self, values) -> None:
         self.ticks = _ticks(values)
         buckets = self.ticks >> _SPAN_SHIFT
-        self.table = np.zeros(_BUCKETS, dtype=np.int32)
-        np.add.at(self.table, buckets[buckets < _BUCKETS], 1)
-        np.add.accumulate(self.table, out=self.table)
+        # the buckets b with i ticks in buckets up to b form a run of runs[i]
+        runs = np.diff(buckets[buckets < _BUCKETS], prepend=0, append=_BUCKETS)
+        self.table = np.repeat(np.arange(runs.size, dtype=np.int32), runs)
         self.table[buckets[self.ticks % (1 << _SPAN_SHIFT) != 0]] = -1
 
     def count(self, words: np.ndarray) -> np.ndarray:

@@ -9,7 +9,8 @@ the worst-case oracle's search one run and one sphere problem at a time, the
 graph certificate and pass probability over every accept-ket entry, the
 parity code table as one matrix product over every bit string, and the
 sampler's Bell tables and acceptance flips over freshly allocated
-temporaries and a full d^2-entry acceptance mask.
+temporaries and a full d^2-entry acceptance mask, and its step lookup table
+by counting ticks into buckets.
 Tests check the package against these, and these on hand examples.
 """
 
@@ -139,6 +140,17 @@ def acceptance_flips(probs: np.ndarray, accepted: np.ndarray) -> tuple[bool, np.
     cum = np.cumsum(probs)
     values, counts = np.unique(cum[:-1][accepted[:-1] != accepted[1:]], return_counts=True)
     return bool(accepted[0]), values[counts % 2 == 1]
+
+
+def step_table(values) -> np.ndarray:
+    """montecarlo._StepLookup's table by counting each tick into its bucket, then a running sum."""
+    ticks = montecarlo._ticks(values)
+    buckets = ticks >> montecarlo._SPAN_SHIFT
+    table = np.zeros(montecarlo._BUCKETS, dtype=np.int32)
+    np.add.at(table, buckets[buckets < montecarlo._BUCKETS], 1)
+    np.add.accumulate(table, out=table)
+    table[buckets[ticks % (1 << montecarlo._SPAN_SHIFT) != 0]] = -1
+    return table
 
 
 def tensor_power_spec(spec: GhzSpec, k: int) -> GhzSpec:

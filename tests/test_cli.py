@@ -329,14 +329,14 @@ def test_simulate_graph_deterministic_with_fidelity(tmp_path, capsys):
 
 
 def test_simulate_graph_samples_once(tmp_path, capsys, monkeypatch):
+    # The command imports simulate_protocol from montecarlo when it runs.
     calls = []
-    original = cli.simulate_protocol
+    original = montecarlo.simulate_protocol
 
     def counting(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "simulate_protocol", counting)
     monkeypatch.setattr(montecarlo, "simulate_protocol", counting)
     argv = ["simulate", "--graph", write_graph(tmp_path), "--epsilon", "0.01", "--trials", "2000"]
     code, report = run_json(capsys, argv)
@@ -397,18 +397,23 @@ def child_env() -> dict:
     return env
 
 
+def run_entry_point(*argv: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-m", "qsvkit.cli", *argv], capture_output=True, env=child_env()
+    )
+
+
 def test_console_entry_point_runs(tmp_path):
     graph = tmp_path / "g.graph"
     graph.write_text(PATH2_TEXT, encoding="utf-8")
-    proc = subprocess.run(
-        [sys.executable, "-m", "qsvkit.cli", "analyze", "--graph", str(graph)],
-        capture_output=True,
-        text=True,
-        env=child_env(),
-    )
+    proc = run_entry_point("analyze", "--graph", str(graph))
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert abs(report["lambda_star"]) < 1e-12
+    for figure in ("fig3", "fig4"):
+        proc = run_entry_point("curves", "--figure", figure)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (GOLDEN / f"{figure}.csv").read_bytes()
 
 
 def test_cli_import_leaves_scipy_out():
@@ -421,16 +426,57 @@ def test_cli_import_leaves_scipy_out():
 
 
 def test_cli_import_leaves_the_thread_pool_and_the_random_module_out():
-    # The sampler starts plain threads and imports numpy.random only when it draws.
+    # The sampler starts plain threads and imports numpy.random only when it draws;
+    # the commands import numpy itself only when they run.
     probe = (
         "import sys, qsvkit.cli; "
-        "print(sorted({'concurrent.futures', 'numpy.random'} & set(sys.modules)))"
+        "print(sorted({'concurrent.futures', 'numpy', 'numpy.random'} & set(sys.modules)))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=child_env()
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+FOOTPRINT_PROBE = """
+import contextlib, io, json, sys
+import qsvkit.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = qsvkit.cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m == "numpy" or m.startswith("qsvkit."))]))
+"""
+
+GRAPH_MODULES = {"numpy", "qsvkit.graphs", "qsvkit.graph_strategy", "qsvkit.strategy", "qsvkit.qcore"}
+
+
+@pytest.mark.parametrize(
+    "argv, code, loaded",
+    [
+        pytest.param(["simulate", "--trials", "0"], 2, set(), id="bad-trials"),
+        pytest.param(["curves", "--figure", "fig4", "--theta-grid", "0.1:x:3"], 2, set(),
+                     id="bad-theta-grid"),
+        pytest.param(["analyze", GRAPH_FLAG], 0, GRAPH_MODULES, id="analyze-graph"),
+        pytest.param(["analyze", "--strategy={strategy}"], 0,
+                     {"numpy", "qsvkit.strategy", "qsvkit.qcore"}, id="analyze-strategy"),
+        pytest.param(["curves", "--figure", "fig3"], 0,
+                     {"numpy", "qsvkit.ghz", "qsvkit.strategy", "qsvkit.qcore"}, id="curves"),
+        pytest.param(["simulate", GRAPH_FLAG, "--trials", "100"], 0,
+                     GRAPH_MODULES | {"qsvkit.montecarlo"}, id="simulate"),
+    ],
+)
+def test_each_command_imports_only_what_it_runs(tmp_path, argv, code, loaded):
+    """Run main(argv) in a fresh interpreter and list the numpy and qsvkit modules it loaded."""
+    paths = {"graph": write_graph(tmp_path),
+             "strategy": write_strategy(tmp_path, reference_bell_artifacts()[0])}
+    proc = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT_PROBE, *(arg.format(**paths) for arg in argv)],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [code, sorted(loaded | {"qsvkit.cli"})]
 
 
 def run_ring13_in_3gb(tmp_path, command: str, *flags: str) -> subprocess.CompletedProcess:

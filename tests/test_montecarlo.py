@@ -22,7 +22,14 @@ from qsvkit.montecarlo import (
 )
 from qsvkit.qcore import Ket, Operator, bell_ket, orthonormal_complement
 from qsvkit.strategy import Strategy, reference_bell_artifacts
-from reference import acceptance_flips, alternate, bell_table, sphere_max, worst_case_search
+from reference import (
+    acceptance_flips,
+    alternate,
+    bell_table,
+    sphere_max,
+    step_table,
+    worst_case_search,
+)
 
 
 PATH2 = Graph(2, [(1, 2)])
@@ -121,6 +128,29 @@ def test_step_lookup_equals_searchsorted_on_the_uniforms():
     expected = np.searchsorted(thresholds, (words >> 11) * 2.0**-53, side="right")
     assert np.array_equal(lookup.count(words), expected)
     assert np.array_equal(lookup.count(words[:0]), expected[:0])
+
+
+@pytest.mark.parametrize(
+    "case", ["uniform", "dense", "repeated", "bucket-starts", "one", "empty", "mixed"]
+)
+def test_step_lookup_table_matches_the_bucket_count(case):
+    rng = np.random.Generator(np.random.Philox(key=7))
+    uniform = rng.random(200)
+    repeated = rng.choice(rng.random(5), size=40)
+    starts = np.append(rng.integers(0, 2**16, size=30), [0, 2**16 - 1]) * 2.0**-16  # on a bucket start
+    values = {
+        "uniform": uniform,
+        "dense": rng.random(200_000),  # most buckets hold an inner tick
+        "repeated": repeated,
+        "bucket-starts": starts,
+        "one": np.array([0.3, 1.0, 1.0]),
+        "empty": np.array([]),
+        "mixed": np.concatenate([uniform, repeated, starts, [0.0, 0.0, 1.0]]),
+    }[case]
+    values = np.sort(values)
+    table = montecarlo._StepLookup(values).table
+    assert table.dtype == np.int32
+    assert np.array_equal(table, step_table(values))
 
 
 def threshold_words(rng, pools: list[np.ndarray], rows: int = 20000) -> np.ndarray:
