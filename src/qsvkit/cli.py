@@ -78,9 +78,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     curves = sub.add_parser("curves", help="figure data tables")
     curves.add_argument("--figure", choices=["fig3", "fig4"], required=True)
-    curves.add_argument("--epsilon", type=float, default=1e-3, metavar="R")
+    curves.add_argument("--epsilon", type=float, default=1e-3, metavar="R",
+                        help="fig4 only; fig3 sweeps epsilon")
     curves.add_argument("--delta", type=float, default=1e-3, metavar="R")
-    curves.add_argument("--theta-grid", dest="theta_grid", metavar="A:B:N")
+    curves.add_argument("--theta-grid", dest="theta_grid", metavar="A:B:N", help="fig4 only")
     _add_output_flags(curves, "csv")
 
     simulate = sub.add_parser("simulate", help="sampled protocol runs")
@@ -106,6 +107,8 @@ def _check_args(ns: argparse.Namespace) -> None:
     """
     grid = getattr(ns, "theta_grid", None)
     if grid is not None:
+        if ns.figure == "fig3":
+            raise ValueError("--theta-grid applies to fig4 only; fig3 sweeps epsilon")
         ns.theta_grid = grid = parse_theta_grid(grid)
     if ns.epsilon is not None and not 0.0 < ns.epsilon < 1.0:
         raise ValueError(f"epsilon = {ns.epsilon} outside (0, 1)")

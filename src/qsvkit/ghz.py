@@ -107,10 +107,13 @@ def ghz_ket(spec: GhzSpec) -> Ket:
 
 def lambda2_lhz(spec: GhzSpec) -> float:
     """Second-largest eigenvalue of the reference qudit strategy for spec."""
-    s0sq = float(spec.coeffs[0]) ** 2
-    s1sq = float(spec.coeffs[1]) ** 2
-    top = (spec.n - 1) * s0sq + s1sq
-    return top / (spec.n + top)
+    return _lhz(spec.n, float(spec.coeffs[0]) ** 2, float(spec.coeffs[1]) ** 2)
+
+
+def _lhz(n: int, s0sq: float, s1sq: float) -> float:
+    """top / (n + top) with top = (n - 1) s0sq + s1sq, from the top two squared coefficients."""
+    top = (n - 1) * s0sq + s1sq
+    return top / (n + top)
 
 
 def n_de_k(spec: GhzSpec, k: int, epsilon: float, delta: float) -> ComplexityReport:
@@ -118,21 +121,18 @@ def n_de_k(spec: GhzSpec, k: int, epsilon: float, delta: float) -> ComplexityRep
 
     strategy.sample_counts prices one k-copy group per round, at the
     per-group infidelity 1 - (1 - epsilon)^k; exact_N counts copies. The
-    regrouped strategy's second-largest eigenvalue top / (n + top), with
-    top = (n-1) s0^(2k) + s0^(2k-2) s1^2, comes in closed form from the top
-    two power coefficients s0^k and s0^(k-1) s1, valid for any k without
-    materializing the power spec.
+    regrouped strategy's second-largest eigenvalue is lambda2_lhz's closed
+    form at the top two power coefficients s0^k and s0^(k-1) s1, valid for
+    any k without materializing the power spec.
     """
     if k < 1:
         raise ValueError(f"power must be at least 1: {k}")
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon = {epsilon} outside (0, 1)")
-    s0 = float(spec.coeffs[0])
-    s1 = float(spec.coeffs[1])
-    n = spec.n
-    top = (n - 1) * s0 ** (2 * k) + s0 ** (2 * k - 2) * s1**2
+    s0, s1 = (float(c) for c in spec.coeffs[:2])
+    lam = _lhz(spec.n, s0 ** (2 * k), s0 ** (2 * k - 2) * s1**2)
     eps_group = -math.expm1(k * math.log1p(-epsilon))  # 1 - (1-eps)^k
-    return sample_counts(top / (n + top), epsilon, delta, k, eps_group, "dimension_expansion")
+    return sample_counts(lam, epsilon, delta, k, eps_group, "dimension_expansion")
 
 
 # =====================================================================

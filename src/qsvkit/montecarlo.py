@@ -63,7 +63,7 @@ import numpy as np
 from .graph_strategy import GraphStrategy, fidelity_from_passrate
 from .graphs import graph_state, parity_accept_indices
 from .qcore import Ket, orthonormal_complement
-from .strategy import Strategy, two_copy_analysis
+from .strategy import STRUCT_TOL, Strategy
 
 _ORACLE_SEED = 20240502
 _ORACLE_GRID_POINTS = 9
@@ -503,26 +503,26 @@ def worst_case_oracle(s: Strategy, epsilon: float) -> WorstCaseReport:
     _ORACLE_TOL, or after _ORACLE_MAX_ITERS sweeps. Ties resolve to the
     earliest run, so the result is reproducible. Besides Omega, K (dim^2 rows
     of dim^2 - dim + 1 terms) and the dim^4-entry products that build it, no
-    array holds more than rows * dim^2 entries.
+    array holds more than rows * dim^2 entries. Only inputs the search cannot run
+    on are refused; lambda_star = 1 or a failed local-maximum condition is probed.
     """
     if s.copies != 2:
         raise ValueError(f"oracle needs a two-copy strategy, got copies = {s.copies}")
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon = {epsilon} outside (0, 1)")
-    ceiling = two_copy_analysis(s, epsilon=epsilon).eps_max
-    if ceiling is not None and epsilon >= ceiling:
-        raise ValueError(f"epsilon = {epsilon} is not below eps_max = {ceiling}")
-
+    if not 0.0 < epsilon < _ORACLE_PROBE_BOUND:
+        raise ValueError(f"epsilon = {epsilon} outside (0, {_ORACLE_PROBE_BOUND}), the probe bound")
     d = s.target.dim
     om = s.omega.entries
+    # _alternate holds either copy with the same operator, so Omega must commute with the swap.
+    swapped = om.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(om.shape)
+    asym = float(np.max(np.abs(om - swapped)))
+    if asym > STRUCT_TOL:
+        raise ValueError(f"operator is not swap symmetric: deviation {asym:.3e} > {STRUCT_TOL:.1e}")
     psi = s.target.amplitudes
     comp = orthonormal_complement(s.target)
     width = comp.shape[1]
     if width == 0:
         raise ValueError("target space has no orthogonal directions to fake")
 
-    if not epsilon < _ORACLE_PROBE_BOUND:
-        raise ValueError(f"epsilon = {epsilon} is not below the probe bound {_ORACLE_PROBE_BOUND}")
     grid = np.geomspace(epsilon, _ORACLE_PROBE_BOUND, _ORACLE_GRID_POINTS)
     pairs = [(a, b) for a in grid for b in grid]
 

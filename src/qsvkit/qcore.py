@@ -1,9 +1,10 @@
 """Dense complex linear algebra and quantum primitives.
 
 This module supplies the building blocks used everywhere else in the package:
-kets and operators tagged with their tensor-factor dimensions, a matrix-free
-extremal eigenvalue solver, the Walsh sign rule (-1)^popcount(i & j), the
-two-qubit Bell basis, and the orthonormal complement of a target state.
+kets and operators tagged with their tensor-factor dimensions, the Walsh sign
+rule (-1)^popcount(i & j), the two-qubit Bell basis, and the orthonormal
+complement of a target state. The matrix-free eigensolver has no caller in the
+package; it is kept only because the benchmark's tracer names it.
 
 Conventions
 -----------

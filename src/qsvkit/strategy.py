@@ -66,7 +66,7 @@ class Strategy:
     tests recombining to omega within 1e-10. Positivity of omega and the
     upper bound omega <= I are part of the contract but are not
     eigendecomposed at construction time (they are covered by spectrum
-    checks in the test suite); everything verified here is O(dim^2).
+    checks in the test suite); construction is O(tests * dim^3), one T T per test.
     """
 
     omega: Operator
@@ -246,11 +246,6 @@ def single_copy_complexity(lambda2: float, epsilon: float, delta: float) -> Comp
 # Two-copy analysis
 # =====================================================================
 
-def _swap_conjugate(entries: np.ndarray, d: int) -> np.ndarray:
-    """F A F for the copy-swap F, done by index transposition."""
-    return entries.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(d * d, d * d)
-
-
 def two_copy_analysis(s: Strategy, epsilon: float | None = None) -> TwoCopyAnalysis:
     """Compress a swap-symmetric two-copy strategy to its governing scalars.
 
@@ -273,7 +268,8 @@ def two_copy_analysis(s: Strategy, epsilon: float | None = None) -> TwoCopyAnaly
         raise ValueError(f"two-copy analysis needs copies = 2, got {s.copies}")
     d = s.target.dim
     om = s.omega.entries
-    asym = float(np.max(np.abs(om - _swap_conjugate(om, d))))
+    swapped = om.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(om.shape)  # F omega F
+    asym = float(np.max(np.abs(om - swapped)))
     if asym > STRUCT_TOL:
         raise ValueError(f"operator is not swap symmetric: deviation {asym:.3e} > {STRUCT_TOL:.1e}")
 

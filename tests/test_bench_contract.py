@@ -2,11 +2,12 @@
 
 perfbench/tracer.py looks up every (layer, function) pair in its TARGETS
 with getattr on qsvkit.<layer>; a pair whose function is gone makes every
-traced benchmark run fail. The tracer module imports only the standard
-library at module level, so it is loaded here by path. perfbench/workloads.py
-and perfbench/fixtures.py call qsvkit functions with positional and keyword
-arguments; their source is read with ast, not imported, and every such call
-must bind to the current signature.
+traced benchmark run fail, and so does a record field its _facts reads. The
+tracer module imports only the standard library at module level, so it is
+loaded here by path. perfbench/workloads.py and perfbench/fixtures.py call
+qsvkit functions with positional and keyword arguments; their source is read
+with ast, not imported, and every such call must bind to the current
+signature.
 """
 
 import ast
@@ -16,16 +17,24 @@ import inspect
 import pathlib
 import sys
 
+from qsvkit.graph_strategy import omega_graph
+from qsvkit.graphs import Graph, graph_state
+from qsvkit.montecarlo import TrialConfig, simulate_protocol, worst_case_oracle
+
 TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
-def test_every_traced_target_is_defined(monkeypatch):
+def load_tracer(monkeypatch):
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     # dataclasses resolve the module's annotations through sys.modules.
     monkeypatch.setitem(sys.modules, spec.name, tracer)
     spec.loader.exec_module(tracer)
-    targets = tracer.TARGETS
+    return tracer
+
+
+def test_every_traced_target_is_defined(monkeypatch):
+    targets = load_tracer(monkeypatch).TARGETS
     assert targets
     missing = [
         f"qsvkit.{layer}.{name}"
@@ -33,6 +42,19 @@ def test_every_traced_target_is_defined(monkeypatch):
         if not callable(getattr(importlib.import_module(f"qsvkit.{layer}"), name, None))
     ]
     assert missing == []
+
+
+def test_the_tracer_reads_fields_the_records_still_have(monkeypatch):
+    # Only traced runs call _facts, so a renamed record field breaks them alone.
+    facts = load_tracer(monkeypatch)._facts
+    gs = omega_graph(Graph(2, [(1, 2)]))
+    cfg = TrialConfig(1, 0, graph_state(gs.graph))
+    args = (gs, cfg)
+    assert facts("montecarlo.simulate_protocol", args, simulate_protocol(*args)) == {"trials": 1}
+    report = worst_case_oracle(gs.strategy, 1e-3)
+    oracle = facts("montecarlo.worst_case_oracle", (gs.strategy, 1e-3), report)
+    assert oracle == {"iterations": report.iterations}
+    assert facts("graph_strategy.omega_graph", (gs.graph,), gs) == {"dense": True}
 
 
 PERFBENCH_SOURCES = ("workloads.py", "fixtures.py")

@@ -60,6 +60,8 @@ GRAPH_FLAG = "--graph={graph}"
                      id="theta-stop"),
         pytest.param(["curves", "--figure", "fig4", "--theta-grid", "0.1:x:3"], "theta grid",
                      id="theta-syntax"),
+        pytest.param(["curves", "--figure", "fig3", "--theta-grid", "0.1:0.7:5"], "--theta-grid",
+                     id="theta-grid-fig3"),
         pytest.param(["simulate", GRAPH_FLAG, "--seed", "-3"], "seed", id="seed-negative"),
         pytest.param(["simulate", GRAPH_FLAG, "--seed", str(2**64)], "seed", id="seed-wide"),
         pytest.param(["simulate", GRAPH_FLAG, "--trials", "0"], "trials", id="trials"),
@@ -456,6 +458,8 @@ GRAPH_MODULES = {"numpy", "qsvkit.graphs", "qsvkit.graph_strategy", "qsvkit.stra
         pytest.param(["simulate", "--trials", "0"], 2, set(), id="bad-trials"),
         pytest.param(["curves", "--figure", "fig4", "--theta-grid", "0.1:x:3"], 2, set(),
                      id="bad-theta-grid"),
+        pytest.param(["curves", "--figure", "fig3", "--theta-grid", "0.1:0.7:5"], 2, set(),
+                     id="fig3-theta-grid"),
         pytest.param(["analyze", GRAPH_FLAG], 0, GRAPH_MODULES, id="analyze-graph"),
         pytest.param(["analyze", "--strategy={strategy}"], 0,
                      {"numpy", "qsvkit.strategy", "qsvkit.qcore"}, id="analyze-strategy"),

@@ -534,3 +534,63 @@ def test_fidelity_from_passrate():
         fidelity_from_passrate(1.2)
     with pytest.raises(ValueError, match="outside"):
         fidelity_from_passrate(-0.1)
+
+
+# ---------------------------------------------------------------------
+# Vertex relabelling
+# ---------------------------------------------------------------------
+
+def relabellings(n: int, count: int = 3):
+    """Seeded random graphs g on n vertices, each with a relabelled copy h and the index map.
+
+    h has edge (pi(u), pi(v)) for each edge (u, v) of g, with pi a random
+    permutation of 1..n. Vertex v is bit n - v of a basis index, so pi moves
+    that bit to bit n - pi(v); image[b] is the index b becomes.
+    """
+    gen = np.random.Generator(np.random.Philox(key=1000 + n))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    basis = np.arange(1 << n)
+    for _ in range(count):
+        g = Graph(n, [pair for pair in pairs if gen.random() < 0.5])
+        pi = gen.permutation(n) + 1
+        h = Graph(n, [(pi[u - 1], pi[v - 1]) for u, v in g.edges])
+        image = np.zeros_like(basis)
+        for v in range(1, n + 1):
+            image |= ((basis >> (n - v)) & 1) << (n - pi[v - 1])
+        yield g, h, image
+
+
+def relabelled(image: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
+    out = np.empty_like(amplitudes)
+    out[image] = amplitudes
+    return out
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_relabelling_permutes_the_code_table(n):
+    for g, h, image in relabellings(n):
+        assert np.array_equal(parity_accept_indices(h)[image], image[parity_accept_indices(g)])
+        assert np.array_equal(graph_state(h).amplitudes, relabelled(image, graph_state(g).amplitudes))
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_relabelling_keeps_the_certificate(rng, n):
+    # A random psi is far from every graph state, so F is of order 1.
+    for g, h, image in relabellings(n):
+        psi = random_real_unit(rng, 1 << n)
+        f = _frobenius_certificate(g, psi)
+        assert f > 0.1
+        assert abs(_frobenius_certificate(h, relabelled(image, psi)) - f) <= 1e-13
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_relabelling_keeps_the_pass_probability(rng, n):
+    dims = (2,) * n
+    for g, h, image in relabellings(n):
+        sigma, sigma_p = random_unit(rng, 1 << n), random_unit(rng, 1 << n)
+        before = graph_pass_probability(omega_graph(g, matrix_free=True), Ket(sigma, dims),
+                                        Ket(sigma_p, dims))
+        after = graph_pass_probability(omega_graph(h, matrix_free=True),
+                                       Ket(relabelled(image, sigma), dims),
+                                       Ket(relabelled(image, sigma_p), dims))
+        assert np.max(np.abs(np.subtract(after, before))) <= 1e-12

@@ -1,6 +1,7 @@
 """Monte Carlo protocol sampling and the independent worst-case search."""
 
 import ast
+import inspect
 import math
 import sys
 import threading
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import random_unit, traced_peak_mib
-from qsvkit import montecarlo
+from qsvkit import montecarlo, strategy
 from qsvkit.ghz import mub_strategy_d4
 from qsvkit.graph_strategy import graph_pass_probability, omega_graph
 from qsvkit.graphs import Graph, graph_state, parity_accept_indices
@@ -21,7 +22,7 @@ from qsvkit.montecarlo import (
     worst_case_oracle,
 )
 from qsvkit.qcore import Ket, Operator, bell_ket, orthonormal_complement
-from qsvkit.strategy import Strategy, reference_bell_artifacts
+from qsvkit.strategy import Strategy, reference_bell_artifacts, two_copy_analysis
 from reference import (
     acceptance_flips,
     alternate,
@@ -302,13 +303,10 @@ def test_real_kets_give_the_complex_bell_table(n):
 # Graph-protocol sampling
 # ---------------------------------------------------------------------
 
-def test_montecarlo_imports_only_the_graph_names_its_cross_check_needs():
-    # The sampler and the oracle check the analysis, so they share no formulas
-    # with it: from graph_strategy they take only the strategy record and the
-    # pass-rate-to-fidelity map, from graphs only the target state and the
-    # code table. A whole-module import would expose every other helper.
+def montecarlo_imports() -> dict[str, set[str]]:
+    """The names montecarlo imports, by module; a whole-module import of an analysis fails."""
     tree = ast.parse(Path(montecarlo.__file__).read_text(encoding="utf-8"))
-    guarded = {"graphs", "graph_strategy"}
+    guarded = {"graphs", "graph_strategy", "strategy"}
     imported: dict[str, set[str]] = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -319,8 +317,24 @@ def test_montecarlo_imports_only_the_graph_names_its_cross_check_needs():
             if module in ("", "qsvkit"):
                 assert not names & guarded
             imported.setdefault(module, set()).update(names)
+    return imported
+
+
+def test_montecarlo_imports_only_the_graph_names_its_cross_check_needs():
+    # The sampler and the oracle check the analysis, so they share no formulas
+    # with it: from graph_strategy they take only the strategy record and the
+    # pass-rate-to-fidelity map, from graphs only the target state and the
+    # code table. A whole-module import would expose every other helper.
+    imported = montecarlo_imports()
     assert imported["graph_strategy"] == {"GraphStrategy", "fidelity_from_passrate"}
     assert imported["graphs"] == {"graph_state", "parity_accept_indices"}
+
+
+def test_montecarlo_imports_no_function_from_the_two_copy_analysis():
+    # The oracle checks its own inputs, so from strategy it takes the record
+    # type and at most the structural tolerance, never an analysis function.
+    names = montecarlo_imports()["strategy"]
+    assert [name for name in names if inspect.isfunction(getattr(strategy, name))] == []
 
 
 def test_graph_simulation_reproducible_and_seed_sensitive():
@@ -744,6 +758,57 @@ def test_oracle_input_guards(rng):
         worst_case_oracle(sym, 0.0)
     with pytest.raises(ValueError, match="probe bound"):
         worst_case_oracle(sym, 0.6)
+
+
+def test_oracle_probes_the_accept_all_strategy():
+    # lambda_star = 1, which the two-copy analysis refuses; every fake passes.
+    target = Ket(np.array([1.0, 0.0], dtype=complex), (2,))
+    accept_all = Strategy(Operator(np.eye(4, dtype=complex), (2, 2), hermitian=True), target, 2)
+    report = worst_case_oracle(accept_all, 1e-3)
+    assert abs(report.p_hat - 1.0) <= 1e-12
+    assert report.converged
+
+
+def _local_max_failing_strategy(seed: int, d: int = 3) -> Strategy:
+    """Swap-symmetric Omega with lambda_star = xi_star = 0.9 and gamma_star = 0.45.
+
+    In the basis of a random unitary U, with psi = U|0>: |00> is accepted, the
+    symmetric and antisymmetric pairs of |01> with 0.9 each, and the symmetric
+    pair of |02> with 0.9. The analysis' compressions are then a = diag(0.9,
+    0.45) and g = diag(0, 0.45) on psi-perp, which share no top eigenvector,
+    so xi_star + gamma_star / 2 = 1.125 >= 1 while lambda_star < 1.
+    """
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    u, _ = np.linalg.qr(gen.normal(size=(d, d)) + 1j * gen.normal(size=(d, d)))
+    basis = np.eye(d * d)  # row j is |0 j>, row j * d is |j 0>
+
+    def paired(j: int, sign: float) -> np.ndarray:
+        return (basis[j] + sign * basis[j * d]) / math.sqrt(2.0)
+
+    kets = [basis[0], paired(1, 1.0), paired(1, -1.0), paired(2, 1.0)]
+    omega = sum(w * np.outer(k, k) for w, k in zip((1.0, 0.9, 0.9, 0.9), kets))
+    uu = np.kron(u, u)
+    omega = uu @ omega @ uu.conj().T
+    omega = Operator((omega + omega.conj().T) / 2.0, (d, d), hermitian=True)
+    return Strategy(omega, Ket(u[:, 0], (d,)), 2)
+
+
+def test_oracle_dominates_random_fakes_where_the_local_maximum_fails(rng):
+    s = _local_max_failing_strategy(3)
+    eps = 0.05
+    analysis = two_copy_analysis(s, epsilon=eps)
+    assert analysis.lambda_star < 1.0 and not analysis.local_max_ok
+    assert eps >= analysis.eps_max  # outside the analysis' own hypotheses
+    report = worst_case_oracle(s, eps)
+    assert report.converged
+    psi, comp = s.target.amplitudes, orthonormal_complement(s.target)
+    for _ in range(100):
+        sigma, sigma_p = (
+            math.sqrt(1.0 - eps) * psi + math.sqrt(eps) * comp @ random_unit(rng, comp.shape[1])
+            for _ in range(2)
+        )
+        pair = np.kron(sigma, sigma_p)
+        assert float(np.real(pair.conj() @ s.omega.entries @ pair)) <= report.p_hat + 1e-9
 
 
 def _sphere_case(mix: float, quad: np.ndarray, cross: np.ndarray) -> str:
