@@ -40,6 +40,8 @@ MAX_THETA_STEPS = 100_000
 
 FIG3_COLUMNS = ["epsilon", "N_graph", "N_PLM", "N_glob"]
 FIG4_COLUMNS = ["theta", "N_de_1", "N_de_2", "N_de_3", "N_de_4", "N_glob"]
+# fig4's epsilon when --epsilon is not given; fig3 sweeps its own grid.
+FIG4_EPSILON = 1e-3
 FIG4_NOTE = (
     "comparison curves for the two locally-measured protocols are omitted; "
     "their sample-count formulas are out of scope for this tool"
@@ -78,8 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     curves = sub.add_parser("curves", help="figure data tables")
     curves.add_argument("--figure", choices=["fig3", "fig4"], required=True)
-    curves.add_argument("--epsilon", type=float, default=1e-3, metavar="R",
-                        help="fig4 only; fig3 sweeps epsilon")
+    curves.add_argument("--epsilon", type=float, default=None, metavar="R",
+                        help=f"fig4 only, default {FIG4_EPSILON}; fig3 sweeps epsilon")
     curves.add_argument("--delta", type=float, default=1e-3, metavar="R")
     curves.add_argument("--theta-grid", dest="theta_grid", metavar="A:B:N", help="fig4 only")
     _add_output_flags(curves, "csv")
@@ -106,9 +108,11 @@ def _check_args(ns: argparse.Namespace) -> None:
     text is replaced by its parsed (start, stop, steps).
     """
     grid = getattr(ns, "theta_grid", None)
+    if getattr(ns, "figure", None) == "fig3":
+        for flag, value in (("--theta-grid", grid), ("--epsilon", ns.epsilon)):
+            if value is not None:
+                raise ValueError(f"{flag} applies to fig4 only; fig3 sweeps epsilon")
     if grid is not None:
-        if ns.figure == "fig3":
-            raise ValueError("--theta-grid applies to fig4 only; fig3 sweeps epsilon")
         ns.theta_grid = grid = parse_theta_grid(grid)
     if ns.epsilon is not None and not 0.0 < ns.epsilon < 1.0:
         raise ValueError(f"epsilon = {ns.epsilon} outside (0, 1)")
@@ -298,11 +302,12 @@ def cmd_curves(ns: argparse.Namespace) -> int:
         thetas = np.linspace(start, stop, steps)
     else:
         thetas = np.array([i * (math.pi / 4.0) / 51.0 for i in range(1, 51)])
-    n_glob = single_copy_complexity(0.0, ns.epsilon, ns.delta).approx_N
+    eps = FIG4_EPSILON if ns.epsilon is None else ns.epsilon
+    n_glob = single_copy_complexity(0.0, eps, ns.delta).approx_N
     rows = []
     for theta in thetas:
         spec = GhzSpec(2, 2, [math.cos(theta), math.sin(theta)])
-        counts = [n_de_k(spec, k, ns.epsilon, ns.delta).approx_N for k in (1, 2, 3, 4)]
+        counts = [n_de_k(spec, k, eps, ns.delta).approx_N for k in (1, 2, 3, 4)]
         rows.append((float(theta), *counts, n_glob))
     _emit_table(FIG4_COLUMNS, rows, ns, comments=(FIG4_NOTE,))
     return EXIT_OK

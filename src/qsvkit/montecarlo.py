@@ -19,15 +19,18 @@ A word w stands for the uniform u = (w >> 11) * 2^-53 that Generator.random
 makes of it, but u is never formed. With m = w >> 11, cdf <= u holds exactly
 when ceil(cdf * 2^53) <= m, and u < p exactly when m < ceil(p * 2^53), so
 every decision is an exact integer comparison with the outcome it has on u.
-The three inverse-CDF lookups -- the source component, the decomposition test
-and the graph decision -- each count the thresholds at or below m with one
-gather from a table over the top 16 bits of w; only rows whose bucket holds a
-threshold fall back to a binary search. A graph trial draws its joint Bell
-outcome by inverse CDF and accepts on the parity decision; since that
-decision changes only where acceptance flips between neighbouring outcomes,
-each component key keeps just those CDF values, read next to the d accepted
-outcomes of its Bell table, and the trial reads the parity of the flips at
-or below its draw from a per-bucket pass, fail or resolve-exactly code.
+Every trial follows one two-stage rule. Word 2 draws a first-stage outcome
+by inverse CDF: a decomposition round's test, or a graph round's flip string
+x, whose chance is P(x) = sum_r |P[r, r ^ x]|^2 for the key's pair amplitude
+matrix P. Word 3 then accepts against the outcome's exact conditional pass
+probability: the test's, or A(x) / P(x) for a graph round, where A(x) is the
+chance of drawing x together with the phase string c(x) that the parity
+decision accepts. The inverse-CDF lookups -- the source component and the
+first stage -- each count the thresholds at or below m with one gather from
+a table over the top 16 bits of w; only rows whose bucket holds a threshold
+fall back to a binary search. Decomposition keys share one first-stage
+lookup; each graph key has its own, built with its acceptance ticks when the
+key is first drawn.
 
 Source descriptors are a single ket or a weighted list of kets. Components
 living on a single copy of the target space are drawn independently for each
@@ -62,7 +65,7 @@ import numpy as np
 
 from .graph_strategy import GraphStrategy, fidelity_from_passrate
 from .graphs import graph_state, parity_accept_indices
-from .qcore import Ket, orthonormal_complement
+from .qcore import Ket, orthonormal_complement, walsh_signs
 from .strategy import STRUCT_TOL, Strategy
 
 _ORACLE_SEED = 20240502
@@ -82,15 +85,13 @@ _WORKERS = (
 
 # Lookup buckets are the top 16 bits of a word w; each spans 2^37 values of w >> 11.
 _MANTISSA_SHIFT = 11
-_BUCKET_SHIFT = 48
+_BUCKET_BITS = 16
+_BUCKET_SHIFT = 64 - _BUCKET_BITS
 _SPAN_SHIFT = _BUCKET_SHIFT - _MANTISSA_SHIFT
-_BUCKETS = 1 << 16
+_BUCKETS = 1 << _BUCKET_BITS
 
-# Per-bucket graph decision codes; 0 is fail.
-_PASS, _RESOLVE = 1, 2
-
-# Entries per column block of the Bell-table transform.
-_TABLE_BLOCK_ENTRIES = 1 << 20
+# Gathered pair amplitudes per block of flip strings.
+_FLIP_BLOCK_ENTRIES = 1 << 16
 
 # =====================================================================
 # Trial configuration
@@ -265,10 +266,11 @@ def simulate_protocol(
 ) -> tuple[int, float, float]:
     """Sample the verification protocol; returns (passes, p_emp, stderr).
 
-    Graph strategies are simulated at the protocol level: per round a joint
-    Bell outcome is drawn from its exact distribution and the parity decision
-    is applied. Other strategies need a decomposition; per round a test is
-    drawn and accepted against its exact conditional pass probability.
+    Graph strategies are simulated at the protocol level: per round the flip
+    string of the joint Bell outcome is drawn from its exact distribution and
+    accepted against the parity decision's exact conditional probability.
+    Other strategies need a decomposition; per round a test is drawn and
+    accepted against its exact conditional pass probability.
     """
     if isinstance(s, GraphStrategy):
         passes = _graph_passes(s, cfg)
@@ -285,145 +287,60 @@ def simulate_protocol(
     return passes, p_emp, stderr
 
 
-def _bell_table(n: int, amplitudes: np.ndarray, left: np.ndarray | None = None) -> np.ndarray:
-    """Flattened Bell-outcome distribution of a (d, d) pair amplitude matrix P.
+def _flip_stage(
+    n: int, codes: np.ndarray, amplitudes: np.ndarray, left: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """P(x) and A(x) over the flip strings x of a pair amplitude matrix P.
 
-    P[r, s] is left[r] * amplitudes[s] for a product pair, else
-    amplitudes[r, s]. Entry [z, x] of the table is
-    |sum_r (-1)^popcount(z & r) P[r, r ^ x]|^2 / d, computed one block of
-    columns at a time by an in-place fast Walsh-Hadamard transform over r,
-    so no d x d Hadamard matrix is formed. Each block is gathered and
-    transformed in two preallocated buffers, one block of amplitudes and one
-    of int64 scratch. The transform runs in the dtype of P: real entries give
-    the same table as their complex form, at half the arithmetic.
+    P[r, s] is left[r] * amplitudes[s] for a product pair, else entry
+    r * d + s of the flat amplitudes. P(x) = sum_r |P[r, r ^ x]|^2 is the
+    chance to draw x and A(x) = |sum_r (-1)^popcount(c(x) & r) P[r, r ^ x]|^2 / d
+    that of drawing x with the accepted phase string c(x) = codes[x]. Both
+    are one signed sum per x, taken over blocks of about _FLIP_BLOCK_ENTRIES
+    gathered entries, so no d x d array is formed. Real entries keep the
+    sums real.
     """
     # Shares no code with graph_strategy's accept-ket rows, so the sampler's
     # cross-check stays independent.
     d = 1 << n
     rows = np.arange(d, dtype=np.int64)
-    dtype = amplitudes.dtype if left is None else np.result_type(left, amplitudes)
-    # P[r, r ^ x] is entry r ^ x of amplitudes, or entry r * d + (r ^ x) of the flat matrix.
-    flat = amplitudes.astype(dtype, copy=False).reshape(-1)
-    width = min(d, max(1, _TABLE_BLOCK_ENTRIES >> n))
-    gathered = np.empty(d * width, dtype=dtype)
-    # The int64 gather index, then the butterflies' half-block copy of the same bytes.
-    scratch = np.empty(d * width, dtype=np.int64)
-    probs = np.empty((d, d))
+    width = min(d, max(1, _FLIP_BLOCK_ENTRIES >> n))
+    drawn, accepted = np.empty(d), np.empty(d)
     for start in range(0, d, width):
-        cols = rows[start : start + width]
-        index = scratch[: d * cols.size].reshape(d, cols.size)
-        np.bitwise_xor(rows[:, None], cols, out=index)
+        flips = rows[start : start + width, None]
+        index = rows ^ flips
         if left is None:
-            index += rows[:, None] * d
-        block = gathered[: index.size].reshape(index.shape)
-        np.take(flat, index, out=block, mode="clip")  # every index is in range
+            index += rows * d
+        block = amplitudes.reshape(-1)[index]
         if left is not None:
-            np.multiply(left[:, None], block, out=block)
-        half = 1
-        while half < d:
-            butterfly = block.reshape(d // (2 * half), 2, half, -1)
-            low = scratch.view(dtype)[: block.size // 2].reshape(butterfly[:, 0].shape)
-            np.copyto(low, butterfly[:, 0])
-            butterfly[:, 0] += butterfly[:, 1]
-            np.subtract(low, butterfly[:, 1], out=butterfly[:, 1])
-            half *= 2
-        out = probs[:, start : start + width]
-        np.abs(block, out=out)
-        np.square(out, out=out)
-        out /= d
-    return probs.reshape(-1)
-
-
-def _acceptance_flips(probs: np.ndarray, accepted: np.ndarray) -> tuple[bool, np.ndarray]:
-    """First outcome's acceptance and the CDF values where acceptance flips.
-
-    accepted holds the sorted indices of the accepted outcomes. The drawn
-    outcome is min(#{cum <= u}, m - 1) for the m-entry cum = cumsum(probs),
-    so its acceptance is that of outcome 0 xor the parity of the flips i
-    (exactly one of i and i + 1 accepted) with cum[i] <= u. Each accepted k
-    names k - 1 and k, and i is a flip iff it is named an odd number of
-    times, so cum is read only at the named entries. Only values named an
-    odd number of times are kept. The CDF is taken in place, so probs holds
-    cum on return.
-    """
-    cum = np.cumsum(probs, out=probs)
-    named = np.concatenate([accepted - 1, accepted])
-    named = named[(named >= 0) & (named < cum.size - 1)]
-    values, counts = np.unique(cum[named], return_counts=True)
-    return bool(accepted[0] == 0), values[counts % 2 == 1]
-
-
-def _key_codes(
-    n: int, accepted: np.ndarray, amplitudes: np.ndarray, left: np.ndarray | None
-) -> tuple[np.ndarray, bool, np.ndarray]:
-    """One key's per-bucket codes, its first outcome's acceptance and its flip ticks.
-
-    A function of its own so that the key's d^2-entry table is freed on
-    return, before the next key's is built.
-    """
-    accept_first, values = _acceptance_flips(_bell_table(n, amplitudes, left), accepted)
-    step = _StepLookup(values)
-    codes = (step.table & 1).astype(np.uint8)
-    codes ^= accept_first
-    codes[step.table < 0] = _RESOLVE
-    return codes, accept_first, step.ticks
+            block = left * block
+        drawn[start : start + width] = np.einsum("xr,xr->x", block, block.conj()).real
+        signed = np.einsum("xr,xr->x", walsh_signs(codes[flips], rows), block)
+        accepted[start : start + width] = np.abs(signed) ** 2 / d
+    return drawn, accepted
 
 
 def _graph_passes(gs: GraphStrategy, cfg: TrialConfig) -> int:
     n = gs.graph.n
     d = 1 << n
     iid = _source_mode(cfg, d, 2)
-    # A ket with no imaginary part stays real, so its Bell tables are
-    # transformed in real arithmetic; the table is the same.
+    # A ket with no imaginary part stays real, so its sums run in real arithmetic.
     kets = [k.amplitudes for _, k in cfg.source]
     kets = [ket.real if not ket.imag.any() else ket for ket in kets]
     comps = len(kets)
+    codes = parity_accept_indices(gs.graph)
 
-    # Outcome z * d + x is accepted when z is the parity code c(x).
-    accepted = np.sort(parity_accept_indices(gs.graph) * d + np.arange(d))
-
-    def pair(key: int) -> tuple[np.ndarray, np.ndarray | None]:
-        """_bell_table's (amplitudes, left) for a key."""
+    def build(key: int) -> tuple[np.ndarray, np.ndarray]:
+        """The key's flip-string CDF and its chance of acceptance per flip string."""
         if iid:
-            return kets[key % comps], kets[key // comps]
-        return kets[key].reshape(d, d), None
+            drawn, accepted = _flip_stage(n, codes, kets[key % comps], kets[key // comps])
+        else:
+            drawn, accepted = _flip_stage(n, codes, kets[key])
+        # A flip string that cannot occur never passes.
+        accept = np.divide(accepted, drawn, out=np.zeros(d), where=drawn > 0)
+        return np.cumsum(drawn)[:-1], accept
 
-    # A key gets its row of _BUCKETS per-bucket codes on first use; slots[key]
-    # is that row. Rows are added under the lock and never change after.
-    num_keys = comps * comps if iid else comps
-    slots = np.full(num_keys, -1, dtype=np.int64)
-    codes = np.empty(0, dtype=np.uint8)
-    exact: list[tuple[bool, np.ndarray]] = []
-    lock = threading.Lock()
-
-    def block_passes(words: np.ndarray, keys: np.ndarray) -> int:
-        nonlocal codes
-        with lock:
-            # Keys drawn for the first time; the census stops once every key has its row.
-            missing = slots < 0
-            if missing.any():
-                missing &= np.bincount(keys, minlength=num_keys) > 0
-            for key in np.flatnonzero(missing):
-                key_codes, accept_first, ticks = _key_codes(n, accepted, *pair(key))
-                codes = np.concatenate([codes, key_codes])
-                slots[key] = len(exact)
-                exact.append((accept_first, ticks))
-            table = codes
-        index = slots[keys]
-        index *= _BUCKETS
-        index += _buckets(words[:, 2])
-        code = table[index]
-        passes = int(np.count_nonzero(code == _PASS))
-        resolve = np.flatnonzero(code == _RESOLVE)
-        if resolve.size:
-            held, mantissas = slots[keys[resolve]], _mantissas(words[resolve, 2])
-            for row in np.flatnonzero(np.bincount(held)):
-                accept_first, ticks = exact[row]
-                odd = np.searchsorted(ticks, mantissas[held == row], side="right") & 1
-                passes += int(np.count_nonzero(odd != accept_first))
-        return passes
-
-    return _count_passes(cfg, iid, block_passes)
+    return _staged_passes(cfg, iid, d, build)
 
 
 def _decomposition_passes(s: Strategy, cfg: TrialConfig) -> int:
@@ -434,23 +351,93 @@ def _decomposition_passes(s: Strategy, cfg: TrialConfig) -> int:
             "provide composite components"
         )
     kets = [k.amplitudes for _, k in cfg.source]
-
+    comps = len(kets)
     tests = [t.entries for _, t in s.decomposition]
-    test_lookup = _StepLookup(np.cumsum([p for p, _ in s.decomposition])[:-1])
-
     pairs = iid and s.copies == 2
-    states = [np.kron(a, b) for a in kets for b in kets] if pairs else kets
 
-    table = np.empty((len(states), len(tests)))
-    for i, state in enumerate(states):
-        for l, test in enumerate(tests):
-            table[i, l] = float(np.real(state.conj() @ (test @ state)))
-    accept = _ticks(table).reshape(-1)
+    def build(key: int) -> tuple[None, np.ndarray]:
+        """No first stage of its own; the key's pass probability per test."""
+        state = np.kron(kets[key // comps], kets[key % comps]) if pairs else kets[key]
+        return None, np.array([float(np.real(state.conj() @ (test @ state))) for test in tests])
+
+    shared = _StepLookup(np.cumsum([p for p, _ in s.decomposition])[:-1])
+    return _staged_passes(cfg, pairs, len(tests), build, shared)
+
+
+def _offset_lookup(values: np.ndarray, offset: int, row: np.ndarray) -> np.ndarray:
+    """Write the _StepLookup table of values plus offset into row, keeping -1; returns its ticks.
+
+    A function of its own so that the lookup's table is freed on return,
+    before the next key is built.
+    """
+    lookup = _StepLookup(values)
+    np.add(lookup.table, offset, out=row)
+    row[lookup.table < 0] = -1
+    return lookup.ticks
+
+
+def _staged_passes(
+    cfg: TrialConfig,
+    pairs: bool,
+    stages: int,
+    build: Callable[[int], tuple[np.ndarray | None, np.ndarray]],
+    shared: _StepLookup | None = None,
+) -> int:
+    """Pass count of the two-stage rule both samplers follow.
+
+    Word 2 of a trial draws a first-stage outcome, a test or a flip string,
+    through the shared lookup or, without one, through its key's own; word 3
+    accepts when m < ticks(accept[key, outcome]). A key is built when it is
+    first drawn: build(key) returns its own first stage's CDF values (None
+    with a shared lookup) and its acceptance probability per outcome. Keys
+    are built under a lock, by the thread that draws them, into rows
+    allocated up front, and no row changes once built.
+    """
+    num_keys = len(cfg.source) ** 2 if pairs else len(cfg.source)
+    accept = np.empty(num_keys * stages, dtype=np.int64)
+    if shared is None:
+        # Row key maps a bucket to key * stages + the outcome, so one gather
+        # gives the accept index; a -1 asks for a binary search in ticks[key].
+        # The rows take the narrowest integer type that holds every index.
+        table = np.empty(num_keys * _BUCKETS, dtype=np.min_scalar_type(-num_keys * stages))
+        ticks: list[np.ndarray | None] = [None] * num_keys
+    else:
+        table, ticks = shared.table, [shared.ticks]
+    built = np.zeros(num_keys, dtype=bool)
+    lock = threading.Lock()
 
     def block_passes(words: np.ndarray, keys: np.ndarray) -> int:
-        keys *= len(tests)
-        keys += test_lookup.count(words[:, 2])
-        return int(np.count_nonzero(_mantissas(words[:, 3]) < accept[keys]))
+        with lock:
+            # Keys drawn for the first time; the census stops once every key is built.
+            missing = ~built
+            if missing.any():
+                missing &= np.bincount(keys, minlength=num_keys) > 0
+            for key in np.flatnonzero(missing):
+                values, probs = build(key)
+                accept[key * stages : (key + 1) * stages] = _ticks(probs)
+                if shared is None:
+                    row = table[key * _BUCKETS : (key + 1) * _BUCKETS]
+                    ticks[key] = _offset_lookup(values, int(key) * stages, row)
+                built[key] = True
+        index = _buckets(words[:, 2])
+        if shared is None:
+            index += np.left_shift(keys, _BUCKET_BITS, dtype=np.int64)
+        outcome = table[index]
+        inside = np.flatnonzero(outcome < 0)
+        if inside.size:
+            rows = index[inside] >> _BUCKET_BITS  # the key, or 0 for the shared lookup
+            mantissas = _mantissas(words[inside, 2])
+            for row in np.flatnonzero(np.bincount(rows)):
+                mine = rows == row
+                found = np.searchsorted(ticks[row], mantissas[mine], side="right")
+                outcome[inside[mine]] = found + row * stages
+        # The accept index goes back into the int64 buffer, which numpy gathers by fastest.
+        if shared is None:
+            index[:] = outcome
+        else:
+            np.multiply(keys, stages, out=index)
+            index += outcome
+        return int(np.count_nonzero(_mantissas(words[:, 3]) < accept[index]))
 
     return _count_passes(cfg, pairs, block_passes)
 

@@ -16,15 +16,15 @@ def rng():
 
 @pytest.fixture
 def second_key_refused(monkeypatch):
-    """The first Bell table built off the main thread raises ValueError.
+    """The first graph key built off the main thread raises ValueError.
 
-    The caller's block draws one trial and builds the first key's table. The
-    caller then waits before drawing another block until a table has been
-    refused, so a worker, never the caller, meets the second key, whichever
-    thread would have won the race. Returns a list that records, per table
-    built, whether it was built off the main thread.
+    The caller's block draws one trial and builds the first key's flip
+    stage. The caller then waits before drawing another block until a key
+    has been refused, so a worker, never the caller, meets the second key,
+    whichever thread would have won the race. Returns a list that records,
+    per key built, whether it was built off the main thread.
     """
-    bell_table, block_words, threads = montecarlo._bell_table, montecarlo._block_words, []
+    flip_stage, block_words, threads = montecarlo._flip_stage, montecarlo._block_words, []
     refused = threading.Event()
 
     def refusing(*args):
@@ -33,14 +33,14 @@ def second_key_refused(monkeypatch):
         if off_main and not refused.is_set():
             refused.set()
             raise ValueError("second key refused")
-        return bell_table(*args)
+        return flip_stage(*args)
 
     def held(seed, start, rows):
         if start and threading.current_thread() is threading.main_thread():
             refused.wait(timeout=60)
         return block_words(seed, start, rows)
 
-    monkeypatch.setattr(montecarlo, "_bell_table", refusing)
+    monkeypatch.setattr(montecarlo, "_flip_stage", refusing)
     monkeypatch.setattr(montecarlo, "_block_words", held)
     monkeypatch.setattr(montecarlo, "_CHUNK_TRIALS", 1)
     monkeypatch.setattr(montecarlo, "_WORKERS", 2)

@@ -7,10 +7,9 @@ pair order bit by bit, regrouped tensor powers by listing every product, the
 MUB strategy's tests as sums of Kronecker products one basis vector at a time,
 the worst-case oracle's search one run and one sphere problem at a time, the
 graph certificate and pass probability over every accept-ket entry, the
-parity code table as one matrix product over every bit string, and the
-sampler's Bell tables and acceptance flips over freshly allocated
-temporaries and a full d^2-entry acceptance mask, and its step lookup table
-by counting ticks into buckets.
+parity code table as one matrix product over every bit string, the
+two-copy Bell-outcome table as one dense Hadamard product, and the sampler's
+step lookup table by counting ticks into buckets.
 Tests check the package against these, and these on hand examples.
 """
 
@@ -107,39 +106,18 @@ def streamed_frobenius_certificate(g: Graph, psi: np.ndarray) -> float:
     return float(np.sqrt(total / psi.size))
 
 
-def bell_table(n: int, pair) -> np.ndarray:
-    """The sampler's Bell table with every step on fresh temporaries.
+def bell_table(n: int, matrix: np.ndarray) -> np.ndarray:
+    """Bell-outcome table [z, x] = |sum_r H[z, r] P[r, r ^ x]|^2 / d of a (d, d) pair matrix P.
 
-    pair(r, s) returns the pair amplitude matrix's entries at broadcast index
-    arrays; the blocks, butterflies and rounding steps are those of
-    montecarlo._bell_table, so the two tables agree bit for bit.
+    H is the +-1 Sylvester-Hadamard matrix, built by Kronecker products, and
+    the whole d x d product is formed at once.
     """
     d = 1 << n
-    rows = np.arange(d, dtype=np.int64)
-    width = max(1, montecarlo._TABLE_BLOCK_ENTRIES >> n)
-    probs = np.empty((d, d))
-    for start in range(0, d, width):
-        block = pair(rows[:, None], rows[:, None] ^ rows[None, start : start + width])
-        half = 1
-        while half < d:
-            butterfly = block.reshape(d // (2 * half), 2, half, -1)
-            low = butterfly[:, 0].copy()
-            butterfly[:, 0] += butterfly[:, 1]
-            np.subtract(low, butterfly[:, 1], out=butterfly[:, 1])
-            half *= 2
-        probs[:, start : start + width] = np.abs(block) ** 2 / d
-    return probs.reshape(-1)
-
-
-def acceptance_flips(probs: np.ndarray, accepted: np.ndarray) -> tuple[bool, np.ndarray]:
-    """First outcome's acceptance and the CDF values where a boolean mask flips.
-
-    accepted is the full m-entry mask; the flips are read off it directly,
-    and values repeated an even number of times cancel. probs is left as is.
-    """
-    cum = np.cumsum(probs)
-    values, counts = np.unique(cum[:-1][accepted[:-1] != accepted[1:]], return_counts=True)
-    return bool(accepted[0]), values[counts % 2 == 1]
+    hadamard = np.ones((1, 1))
+    for _ in range(n):
+        hadamard = np.kron(hadamard, [[1.0, 1.0], [1.0, -1.0]])
+    rows = np.arange(d)
+    return np.abs(hadamard @ matrix[rows[:, None], rows[:, None] ^ rows]) ** 2 / d
 
 
 def step_table(values) -> np.ndarray:

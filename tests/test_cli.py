@@ -13,7 +13,9 @@ import pytest
 
 from qsvkit import cli, montecarlo
 from qsvkit.cli import main, parse_theta_grid
-from qsvkit.qcore import Ket, Operator
+from qsvkit.graph_strategy import graph_pass_probability, omega_graph
+from qsvkit.graphs import Graph, graph_state
+from qsvkit.qcore import Ket, Operator, first_complement_vector
 from qsvkit.strategy import Strategy, reference_bell_artifacts, strategy_to_json
 
 
@@ -62,6 +64,8 @@ GRAPH_FLAG = "--graph={graph}"
                      id="theta-syntax"),
         pytest.param(["curves", "--figure", "fig3", "--theta-grid", "0.1:0.7:5"], "--theta-grid",
                      id="theta-grid-fig3"),
+        pytest.param(["curves", "--figure", "fig3", "--epsilon", "0.5"], "--epsilon",
+                     id="epsilon-fig3"),
         pytest.param(["simulate", GRAPH_FLAG, "--seed", "-3"], "seed", id="seed-negative"),
         pytest.param(["simulate", GRAPH_FLAG, "--seed", str(2**64)], "seed", id="seed-wide"),
         pytest.param(["simulate", GRAPH_FLAG, "--trials", "0"], "trials", id="trials"),
@@ -379,6 +383,54 @@ def test_simulate_strategy_route_has_no_fidelity_block(tmp_path, capsys):
     assert abs(report["p_emp"] - expected) < 5.0 * math.sqrt(expected * (1 - expected) / 30000)
 
 
+def relabelled_graphs():
+    """Ring 6 and a seeded random 7-vertex graph, each as (n, edges, two relabelled edge lists).
+
+    A relabelling maps each edge (u, v) to (pi(u), pi(v)) for a seeded random
+    permutation pi of 1..n.
+    """
+    gen = np.random.Generator(np.random.Philox(key=2611))
+    pairs = [(u, v) for u in range(1, 8) for v in range(u + 1, 8)]
+    for n, edges in (
+        (6, [(i, i % 6 + 1) for i in range(1, 7)]),
+        (7, [pair for pair in pairs if gen.random() < 0.5]),
+    ):
+        perms = [gen.permutation(n) + 1 for _ in range(2)]
+        yield n, edges, [[(pi[u - 1], pi[v - 1]) for u, v in edges] for pi in perms]
+
+
+def graph_text(n: int, edges) -> str:
+    return f"n {n}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+
+
+def test_relabelled_graphs_give_the_same_analysis_and_sampled_rate(tmp_path, capsys):
+    eps, trials = 0.05, 20000
+    for n, edges, relabellings in relabelled_graphs():
+        path = write_graph(tmp_path, graph_text(n, edges))
+        code, original = run_json(capsys, ["analyze", "--graph", path])
+        assert code == 0
+        # The exact rate of the original graph and the source simulate builds for it.
+        gs = omega_graph(Graph(n, edges))
+        target = graph_state(gs.graph)
+        mix = [(1.0 - eps, target), (eps, Ket(first_complement_vector(target), target.dims))]
+        rate = sum(
+            wa * wb * graph_pass_probability(gs, ka, kb)[0] for wa, ka in mix for wb, kb in mix
+        )
+        sigma = math.sqrt(rate * (1.0 - rate) / trials)
+        for permuted in relabellings:
+            path = write_graph(tmp_path, graph_text(n, permuted))
+            code, report = run_json(capsys, ["analyze", "--graph", path])
+            assert code == 0
+            for key in ("lambda_star", "gamma_star", "xi_star"):
+                assert abs(report[key] - original[key]) <= 1e-12, key
+            for key in ("eps_max", "exact_N", "approx_N"):
+                assert report[key] == original[key], key
+            argv = ["simulate", "--graph", path, "--epsilon", str(eps), "--trials", str(trials)]
+            code, sampled = run_json(capsys, argv)
+            assert code == 0
+            assert abs(sampled["p_emp"] - rate) <= 5.0 * sigma
+
+
 def test_simulate_input_exclusivity(capsys):
     assert main(["simulate"]) == 2
     assert "exactly one" in capsys.readouterr().err
@@ -460,6 +512,8 @@ GRAPH_MODULES = {"numpy", "qsvkit.graphs", "qsvkit.graph_strategy", "qsvkit.stra
                      id="bad-theta-grid"),
         pytest.param(["curves", "--figure", "fig3", "--theta-grid", "0.1:0.7:5"], 2, set(),
                      id="fig3-theta-grid"),
+        pytest.param(["curves", "--figure", "fig3", "--epsilon", "0.5"], 2, set(),
+                     id="fig3-epsilon"),
         pytest.param(["analyze", GRAPH_FLAG], 0, GRAPH_MODULES, id="analyze-graph"),
         pytest.param(["analyze", "--strategy={strategy}"], 0,
                      {"numpy", "qsvkit.strategy", "qsvkit.qcore"}, id="analyze-strategy"),
