@@ -1,36 +1,38 @@
 """Protocol-level Monte Carlo simulation and an independent worst-case oracle.
 
-Every trial consumes one fixed row of four raw 64-bit words from a
-counter-based Philox stream keyed by the config seed: (first component draw,
-second component draw, test-or-outcome draw, accept threshold). The rows are
-cut into blocks of at most _CHUNK_TRIALS. Philox makes one row per counter
-value, so the block that starts at row r draws its words from its own
-generator with the counter set to r, and the blocks together equal one draw
-of the whole stream. Each block is reduced straight to a pass count. The first
-block runs in the caller, which builds the tables of the keys it draws; the
-caller then counts the rest beside one plain thread per further usable core,
-one block per thread at a time, so at most one block per core is held and
-memory does not grow with the trial count. A trial's result is a pure
-function of its own row and the per-component tables, so the block size, the
-worker count and the order in which blocks finish cannot change the pass
-count.
+Every trial consumes one fixed row of two raw 64-bit words from a
+counter-based Philox stream keyed by the config seed: (source key draw,
+joint round draw). Philox makes four words per counter value, so counter c
+holds trials 2c and 2c + 1, and trial t reads words 2t and 2t + 1 of
+Philox(key=seed).random_raw. The rows are cut into blocks of at most
+_CHUNK_TRIALS; the block that starts at row r draws its words from its own
+generator with the counter set to r >> 1, skipping one row when r is odd, and
+the blocks together equal one draw of the whole stream. Each block is reduced
+straight to a pass count. The first block runs in the caller, which builds
+the tables of the keys it draws; the caller then counts the rest beside one
+plain thread per further usable core, one block per thread at a time, so at
+most one block per core is held and memory does not grow with the trial
+count. A trial's result is a pure function of its own row and the per-key
+tables, so the block size, the worker count and the order in which blocks
+finish cannot change the pass count.
 
 A word w stands for the uniform u = (w >> 11) * 2^-53 that Generator.random
 makes of it, but u is never formed. With m = w >> 11, cdf <= u holds exactly
-when ceil(cdf * 2^53) <= m, and u < p exactly when m < ceil(p * 2^53), so
-every decision is an exact integer comparison with the outcome it has on u.
-Every trial follows one two-stage rule. Word 2 draws a first-stage outcome
-by inverse CDF: a decomposition round's test, or a graph round's flip string
-x, whose chance is P(x) = sum_r |P[r, r ^ x]|^2 for the key's pair amplitude
-matrix P. Word 3 then accepts against the outcome's exact conditional pass
-probability: the test's, or A(x) / P(x) for a graph round, where A(x) is the
-chance of drawing x together with the phase string c(x) that the parity
-decision accepts. The inverse-CDF lookups -- the source component and the
-first stage -- each count the thresholds at or below m with one gather from
-a table over the top 16 bits of w; only rows whose bucket holds a threshold
-fall back to a binary search. Decomposition keys share one first-stage
-lookup; each graph key has its own, built with its acceptance ticks when the
-key is first drawn.
+when ceil(cdf * 2^53) <= m, so every draw is an exact integer comparison with
+the outcome it has on u. Word 0 draws the source key by inverse CDF over the
+key weights: w_a * w_b in key order a * components + b for an i.i.d. pair of
+copies, else the component weights. Word 1 draws the round's joint (outcome,
+decision) by inverse CDF over the key's interleaved weights, and the round
+passes exactly when the drawn index is even. A decomposition key interleaves
+[w_t p_t, w_t (1 - p_t)] over the tests t, with p_t the test's pass
+probability. A graph key interleaves [A(x), P(x) - A(x)] over the flip
+strings x of the joint Bell outcome: P(x) = sum_r |P[r, r ^ x]|^2 for the
+key's pair amplitude matrix P, and A(x) the chance of drawing x together with
+the phase string c(x) that the parity decision accepts. Each lookup counts the
+thresholds at or below m with one gather from a table over the top 16 bits of
+w; only rows whose bucket holds a threshold fall back to a binary search. A
+key's table holds only the parity of that count, and is built when the key is
+first drawn.
 
 Source descriptors are a single ket or a weighted list of kets. Components
 living on a single copy of the target space are drawn independently for each
@@ -75,7 +77,7 @@ _ORACLE_TOL = 1e-10
 _ORACLE_MAX_ITERS = 500
 _ORACLE_PROBE_BOUND = 0.5
 
-# Trials per block of words (32 B each); the caller and each thread hold one block at a time.
+# Trials per block of words (16 B each); the caller and each thread hold one block at a time.
 _CHUNK_TRIALS = 1 << 15
 
 # Threads that count blocks: one per core this process may run on.
@@ -89,6 +91,9 @@ _BUCKET_BITS = 16
 _BUCKET_SHIFT = 64 - _BUCKET_BITS
 _SPAN_SHIFT = _BUCKET_SHIFT - _MANTISSA_SHIFT
 _BUCKETS = 1 << _BUCKET_BITS
+
+# Bound on the keys' lookup rows together: 1,024 keys of one byte per bucket.
+_KEY_ROWS_BYTES = 1 << 26
 
 # Gathered pair amplitudes per block of flip strings.
 _FLIP_BLOCK_ENTRIES = 1 << 16
@@ -136,13 +141,16 @@ class TrialConfig:
 
 
 def _block_words(seed: int, start: int, rows: int) -> np.ndarray:
-    """Rows start .. start + rows - 1 of the (trials, 4) raw word stream.
+    """Rows start .. start + rows - 1 of the (trials, 2) raw word stream.
 
-    Philox makes one row of four words per counter value, so a generator
-    whose counter starts at start draws exactly these rows of
-    Philox(key=seed).random_raw(4 * trials).
+    Philox makes four words, two rows, per counter value, so a generator
+    whose counter starts at start >> 1 draws these rows of
+    Philox(key=seed).random_raw(2 * trials) after one skipped row when start
+    is odd.
     """
-    return np.random.Philox(key=seed, counter=start).random_raw(4 * rows).reshape(rows, 4)
+    skip = start & 1
+    words = np.random.Philox(key=seed, counter=start >> 1).random_raw(2 * (skip + rows))
+    return words[2 * skip :].reshape(rows, 2)
 
 
 def _count_passes(
@@ -150,25 +158,24 @@ def _count_passes(
 ) -> int:
     """Sum of block_passes(words, keys) over the row blocks of the trial stream.
 
-    A key is the component word 0 draws or, with pairs (an i.i.d. source on
-    two copies), that component * components + the one word 1 draws. The
-    first block runs in the caller, so the tables its keys need are built on
-    this thread. The caller then starts up to _WORKERS - 1 threads and
-    drains the rest beside them, each taking the next block until none is
-    left, so at most _WORKERS blocks are held at once and block_passes must
-    be safe to call from several threads at once. A failing block stops the
-    others after their current blocks, and its exception is raised here.
+    Word 0 of each row draws its key: a component or, with pairs (an i.i.d.
+    source on two copies), a component pair a * components + b drawn with
+    chance w_a * w_b. The first block runs in the caller, so the tables its
+    keys need are built on this thread. The caller then starts up to
+    _WORKERS - 1 threads and drains the rest beside them, each taking the
+    next block until none is left, so at most _WORKERS blocks are held at
+    once and block_passes must be safe to call from several threads at once.
+    A failing block stops the others after their current blocks, and its
+    exception is raised here.
     """
-    comps = len(cfg.source)
-    source = _StepLookup(np.cumsum([w for w, _ in cfg.source])[:-1])
+    weights = np.array([w for w, _ in cfg.source])
+    if pairs:
+        weights = np.outer(weights, weights).ravel()
+    source = _StepLookup(np.cumsum(weights)[:-1])
 
     def count(start: int) -> int:
         words = _block_words(cfg.seed, start, min(_CHUNK_TRIALS, cfg.trials - start))
-        keys = source.count(words[:, 0])
-        if pairs:
-            keys *= comps
-            keys += source.count(words[:, 1])
-        return block_passes(words, keys)
+        return block_passes(words, source.count(words[:, 0]))
 
     passes = [count(0)]
     starts = range(_CHUNK_TRIALS, cfg.trials, _CHUNK_TRIALS)
@@ -267,10 +274,9 @@ def simulate_protocol(
     """Sample the verification protocol; returns (passes, p_emp, stderr).
 
     Graph strategies are simulated at the protocol level: per round the flip
-    string of the joint Bell outcome is drawn from its exact distribution and
-    accepted against the parity decision's exact conditional probability.
-    Other strategies need a decomposition; per round a test is drawn and
-    accepted against its exact conditional pass probability.
+    string of the joint Bell outcome and the parity decision on it are drawn
+    together from their exact joint distribution. Other strategies need a
+    decomposition; per round a test and its pass or fail are drawn together.
     """
     if isinstance(s, GraphStrategy):
         passes = _graph_passes(s, cfg)
@@ -322,25 +328,22 @@ def _flip_stage(
 
 def _graph_passes(gs: GraphStrategy, cfg: TrialConfig) -> int:
     n = gs.graph.n
-    d = 1 << n
-    iid = _source_mode(cfg, d, 2)
+    iid = _source_mode(cfg, 1 << n, 2)
     # A ket with no imaginary part stays real, so its sums run in real arithmetic.
     kets = [k.amplitudes for _, k in cfg.source]
     kets = [ket.real if not ket.imag.any() else ket for ket in kets]
     comps = len(kets)
     codes = parity_accept_indices(gs.graph)
 
-    def build(key: int) -> tuple[np.ndarray, np.ndarray]:
-        """The key's flip-string CDF and its chance of acceptance per flip string."""
+    def build(key: int) -> np.ndarray:
+        """The key's interleaved [A(x), P(x) - A(x)] over the flip strings x."""
         if iid:
             drawn, accepted = _flip_stage(n, codes, kets[key % comps], kets[key // comps])
         else:
             drawn, accepted = _flip_stage(n, codes, kets[key])
-        # A flip string that cannot occur never passes.
-        accept = np.divide(accepted, drawn, out=np.zeros(d), where=drawn > 0)
-        return np.cumsum(drawn)[:-1], accept
+        return np.column_stack([accepted, np.clip(drawn - accepted, 0.0, 1.0)]).ravel()
 
-    return _staged_passes(cfg, iid, d, build)
+    return _joint_passes(cfg, iid, build)
 
 
 def _decomposition_passes(s: Strategy, cfg: TrialConfig) -> int:
@@ -352,57 +355,43 @@ def _decomposition_passes(s: Strategy, cfg: TrialConfig) -> int:
         )
     kets = [k.amplitudes for _, k in cfg.source]
     comps = len(kets)
+    weights = np.array([p for p, _ in s.decomposition])
     tests = [t.entries for _, t in s.decomposition]
     pairs = iid and s.copies == 2
 
-    def build(key: int) -> tuple[None, np.ndarray]:
-        """No first stage of its own; the key's pass probability per test."""
+    def build(key: int) -> np.ndarray:
+        """The key's interleaved [w_t p_t, w_t (1 - p_t)] over the tests t."""
         state = np.kron(kets[key // comps], kets[key % comps]) if pairs else kets[key]
-        return None, np.array([float(np.real(state.conj() @ (test @ state))) for test in tests])
+        passing = np.clip(
+            [float(np.real(state.conj() @ (test @ state))) for test in tests], 0.0, 1.0
+        )
+        return np.column_stack([weights * passing, weights * (1.0 - passing)]).ravel()
 
-    shared = _StepLookup(np.cumsum([p for p, _ in s.decomposition])[:-1])
-    return _staged_passes(cfg, pairs, len(tests), build, shared)
-
-
-def _offset_lookup(values: np.ndarray, offset: int, row: np.ndarray) -> np.ndarray:
-    """Write the _StepLookup table of values plus offset into row, keeping -1; returns its ticks.
-
-    A function of its own so that the lookup's table is freed on return,
-    before the next key is built.
-    """
-    lookup = _StepLookup(values)
-    np.add(lookup.table, offset, out=row)
-    row[lookup.table < 0] = -1
-    return lookup.ticks
+    return _joint_passes(cfg, pairs, build)
 
 
-def _staged_passes(
-    cfg: TrialConfig,
-    pairs: bool,
-    stages: int,
-    build: Callable[[int], tuple[np.ndarray | None, np.ndarray]],
-    shared: _StepLookup | None = None,
-) -> int:
-    """Pass count of the two-stage rule both samplers follow.
+def _joint_passes(cfg: TrialConfig, pairs: bool, build: Callable[[int], np.ndarray]) -> int:
+    """Pass count of the joint rule both samplers follow.
 
-    Word 2 of a trial draws a first-stage outcome, a test or a flip string,
-    through the shared lookup or, without one, through its key's own; word 3
-    accepts when m < ticks(accept[key, outcome]). A key is built when it is
-    first drawn: build(key) returns its own first stage's CDF values (None
-    with a shared lookup) and its acceptance probability per outcome. Keys
-    are built under a lock, by the thread that draws them, into rows
-    allocated up front, and no row changes once built.
+    Word 1 of a trial draws an index by inverse CDF over its key's
+    interleaved weights build(key), [pass, fail] per outcome, and the trial
+    passes when the index is even. A key is built when it is first drawn:
+    under a lock, by the thread that draws it, into a row allocated up front
+    that holds the index's parity per bucket, and no row changes once built.
+    Sources whose rows would exceed _KEY_ROWS_BYTES are refused before any
+    row is allocated.
     """
     num_keys = len(cfg.source) ** 2 if pairs else len(cfg.source)
-    accept = np.empty(num_keys * stages, dtype=np.int64)
-    if shared is None:
-        # Row key maps a bucket to key * stages + the outcome, so one gather
-        # gives the accept index; a -1 asks for a binary search in ticks[key].
-        # The rows take the narrowest integer type that holds every index.
-        table = np.empty(num_keys * _BUCKETS, dtype=np.min_scalar_type(-num_keys * stages))
-        ticks: list[np.ndarray | None] = [None] * num_keys
-    else:
-        table, ticks = shared.table, [shared.ticks]
+    if num_keys * _BUCKETS > _KEY_ROWS_BYTES:
+        raise ValueError(
+            f"source draws {num_keys} keys, whose lookup rows would take "
+            f"{num_keys * _BUCKETS >> 20} MiB, over the {_KEY_ROWS_BYTES >> 20} MiB bound "
+            f"of {_KEY_ROWS_BYTES // _BUCKETS} keys"
+        )
+    # Row key maps the top 16 bits of word 1 to the parity of the index drawn
+    # there, or to -1 when a tick falls inside the bucket and ticks[key] is searched.
+    table = np.empty(num_keys * _BUCKETS, dtype=np.int8)
+    ticks: list[np.ndarray | None] = [None] * num_keys
     built = np.zeros(num_keys, dtype=bool)
     lock = threading.Lock()
 
@@ -413,31 +402,25 @@ def _staged_passes(
             if missing.any():
                 missing &= np.bincount(keys, minlength=num_keys) > 0
             for key in np.flatnonzero(missing):
-                values, probs = build(key)
-                accept[key * stages : (key + 1) * stages] = _ticks(probs)
-                if shared is None:
-                    row = table[key * _BUCKETS : (key + 1) * _BUCKETS]
-                    ticks[key] = _offset_lookup(values, int(key) * stages, row)
+                lookup = _StepLookup(np.cumsum(build(key))[:-1])
+                row = table[key * _BUCKETS : (key + 1) * _BUCKETS]
+                np.bitwise_and(lookup.table, 1, out=row, casting="unsafe")
+                row[lookup.table < 0] = -1
+                ticks[key] = lookup.ticks
                 built[key] = True
-        index = _buckets(words[:, 2])
-        if shared is None:
-            index += np.left_shift(keys, _BUCKET_BITS, dtype=np.int64)
-        outcome = table[index]
-        inside = np.flatnonzero(outcome < 0)
+                del lookup  # its table is freed before the next key is built
+        index = np.left_shift(keys, _BUCKET_BITS, dtype=np.int64)
+        index += _buckets(words[:, 1])
+        parity = table[index]
+        inside = np.flatnonzero(parity < 0)
         if inside.size:
-            rows = index[inside] >> _BUCKET_BITS  # the key, or 0 for the shared lookup
-            mantissas = _mantissas(words[inside, 2])
-            for row in np.flatnonzero(np.bincount(rows)):
-                mine = rows == row
-                found = np.searchsorted(ticks[row], mantissas[mine], side="right")
-                outcome[inside[mine]] = found + row * stages
-        # The accept index goes back into the int64 buffer, which numpy gathers by fastest.
-        if shared is None:
-            index[:] = outcome
-        else:
-            np.multiply(keys, stages, out=index)
-            index += outcome
-        return int(np.count_nonzero(_mantissas(words[:, 3]) < accept[index]))
+            owners = keys[inside]
+            mantissas = _mantissas(words[inside, 1])
+            for key in np.flatnonzero(np.bincount(owners)):
+                mine = owners == key
+                found = np.searchsorted(ticks[key], mantissas[mine], side="right")
+                parity[inside[mine]] = found & 1
+        return len(words) - int(np.count_nonzero(parity))
 
     return _count_passes(cfg, pairs, block_passes)
 

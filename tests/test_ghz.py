@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, seed, settings
+from hypothesis import strategies as st
 
 from qsvkit.ghz import _MUB_TABLES, GhzSpec, ghz_ket, lambda2_lhz, mub_strategy_d4, n_de_k
 from qsvkit.strategy import lambda2, single_copy_complexity
@@ -155,6 +157,54 @@ def test_n_de_64_approaches_global_count():
         spec = GhzSpec(2, 2, np.sqrt([s0sq, 1.0 - s0sq]))
         rep = n_de_k(spec, 64, 1e-3, 1e-3)
         assert abs(rep.approx_N / glob - 1.0) < 1e-3
+
+
+SPEC_ANGLES = st.floats(min_value=0.05, max_value=math.pi / 4)
+PARTIES = st.integers(min_value=2, max_value=5)
+GROUP_EPSILONS = st.floats(min_value=1e-6, max_value=0.4)
+GROUP_DELTAS = st.floats(min_value=1e-9, max_value=0.5)
+
+
+def two_level_spec(n: int, angle: float) -> GhzSpec:
+    return GhzSpec(n, 2, [math.cos(angle), math.sin(angle)])
+
+
+@pytest.mark.parametrize("k", range(1, 5))
+@seed(27)
+@given(n=PARTIES, angle=SPEC_ANGLES, eps=st.lists(GROUP_EPSILONS, min_size=2, max_size=2),
+       delta=GROUP_DELTAS)
+@settings(max_examples=15, deadline=None, database=None)
+def test_n_de_k_exact_count_falls_as_epsilon_grows(k, n, angle, eps, delta):
+    low, high = sorted(eps)
+    assume(high > low * (1.0 + 1e-6))
+    spec = two_level_spec(n, angle)
+    assert n_de_k(spec, k, high, delta).exact_N < n_de_k(spec, k, low, delta).exact_N
+
+
+@pytest.mark.parametrize("k", range(1, 5))
+@seed(27)
+@given(n=PARTIES, angles=st.lists(SPEC_ANGLES, min_size=2, max_size=2), eps=GROUP_EPSILONS,
+       delta=GROUP_DELTAS)
+@settings(max_examples=15, deadline=None, database=None)
+def test_n_de_k_exact_count_falls_as_the_gap_grows(k, n, angles, eps, delta):
+    # The gap 1 - lambda of each spec, read off the leading-order count
+    # ln(1/delta) / ((1 - lambda) epsilon); exact_N is a separate formula.
+    reports = [n_de_k(two_level_spec(n, angle), k, eps, delta) for angle in angles]
+    gaps = [math.log(1.0 / delta) / (rep.approx_N * eps) for rep in reports]
+    assume(abs(gaps[0] - gaps[1]) > 1e-6 * max(gaps))
+    wide, narrow = sorted(reports, key=lambda rep: rep.approx_N)
+    assert wide.exact_N < narrow.exact_N
+
+
+@pytest.mark.parametrize("k", range(1, 5))
+@seed(27)
+@given(n=PARTIES, angle=SPEC_ANGLES, eps=GROUP_EPSILONS,
+       delta=st.lists(GROUP_DELTAS, min_size=2, max_size=2))
+@settings(max_examples=15, deadline=None, database=None)
+def test_n_de_k_exact_count_is_linear_in_log_one_over_delta(k, n, angle, eps, delta):
+    spec = two_level_spec(n, angle)
+    per_log = [n_de_k(spec, k, eps, d).exact_N / math.log(1.0 / d) for d in delta]
+    assert per_log[1] == pytest.approx(per_log[0], rel=1e-12)
 
 
 def test_n_de_k_validation():

@@ -180,47 +180,59 @@ def inverse_cdf(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum(np.searchsorted(cum, u, side="right"), cum.size - 1)
 
 
+def key_cdf(source) -> np.ndarray:
+    """CDF of an i.i.d. pair's keys a * components + b, with chances w_a * w_b."""
+    weights = [w for w, _ in source]
+    return np.cumsum([wa * wb for wa in weights for wb in weights])
+
+
+def joint_draws(keys: np.ndarray, joints: list[np.ndarray], u: np.ndarray) -> np.ndarray:
+    """Per row, the inverse CDF of its key's joint CDF at u."""
+    return np.array([inverse_cdf(joints[key], u[row]) for row, key in enumerate(keys)])
+
+
 def test_decomposition_sampler_follows_the_uniform_rule_on_threshold_words(monkeypatch):
-    # Reference: the uniforms u = (w >> 11) 2^-53 through inverse CDFs and u < p.
+    # Reference: the uniforms u = (w >> 11) 2^-53 through inverse CDFs. u0
+    # draws the key over the products w_a w_b; u1 draws an index over the key's
+    # interleaved [w_t p_t, w_t (1 - p_t)], and an even index passes.
     rng = np.random.Generator(np.random.Philox(key=8))
     s = bell_product_strategy()
     kets = [k.amplitudes for _, k in BELL_MIX]
-    cum_w = np.cumsum([w for w, _ in BELL_MIX])
-    cum_p = np.cumsum([p for p, _ in s.decomposition])
-    table = np.clip([
-        [float(np.real(np.vdot(v, t.entries @ v))) for _, t in s.decomposition]
-        for v in (np.kron(a, b) for a in kets for b in kets)
-    ], 0.0, 1.0)
-    words = threshold_words(rng, [near(rng, cum_w), near(rng, cum_w), near(rng, cum_p), near(rng, table)])
+    tests = np.array([p for p, _ in s.decomposition])
+    joints = []
+    for v in (np.kron(a, b) for a in kets for b in kets):
+        passing = np.clip([float(np.real(np.vdot(v, t.entries @ v))) for _, t in s.decomposition], 0.0, 1.0)
+        joints.append(np.cumsum(np.column_stack([tests * passing, tests * (1.0 - passing)]).ravel()))
+    cum_keys = key_cdf(BELL_MIX)
+    words = threshold_words(rng, [near(rng, cum_keys), near(rng, joints)])
 
     u = (words >> 11) * 2.0**-53
-    keys = inverse_cdf(cum_w, u[:, 0]) * len(kets) + inverse_cdf(cum_w, u[:, 1])
-    expected = int(np.count_nonzero(u[:, 3] < table[keys, inverse_cdf(cum_p, u[:, 2])]))
-    assert sample_words(monkeypatch, s, BELL_MIX, words) == expected
+    drawn = joint_draws(inverse_cdf(cum_keys, u[:, 0]), joints, u[:, 1])
+    assert sample_words(monkeypatch, s, BELL_MIX, words) == int(np.count_nonzero(drawn % 2 == 0))
 
 
 def test_graph_sampler_follows_the_uniform_rule_on_threshold_words(monkeypatch):
-    # Reference: the drawn flip string is the inverse CDF of the sampler's own
-    # P(x) at u2, and the round accepts when u3 < A(x) / P(x).
+    # Reference: u0 draws the key over the products w_a w_b; u1 draws an index
+    # over the key's interleaved [A(x), P(x) - A(x)] from the sampler's own
+    # flip stage, and an even index, an accepted x, passes.
     rng = np.random.Generator(np.random.Philox(key=9))
     g = ring(3)
     source = iid_graph_source(3)
+    # The sampler's own arithmetic: a ket with no imaginary part runs real.
     kets = [k.amplitudes for _, k in source]
+    kets = [ket.real if not ket.imag.any() else ket for ket in kets]
     codes = parity_accept_indices(g)
     stages = [montecarlo._flip_stage(3, codes, b, a) for a in kets for b in kets]
-    cums = [np.cumsum(drawn) for drawn, _ in stages]
-    ratios = [accepted / drawn for drawn, accepted in stages]
-    cum_w = np.cumsum([w for w, _ in source])
-    words = threshold_words(
-        rng, [near(rng, cum_w), near(rng, cum_w), near(rng, cums), near(rng, ratios)]
-    )
+    joints = [
+        np.cumsum(np.column_stack([accepted, np.clip(drawn - accepted, 0.0, 1.0)]).ravel())
+        for drawn, accepted in stages
+    ]
+    cum_keys = key_cdf(source)
+    words = threshold_words(rng, [near(rng, cum_keys), near(rng, joints)])
 
     u = (words >> 11) * 2.0**-53
-    keys = inverse_cdf(cum_w, u[:, 0]) * len(kets) + inverse_cdf(cum_w, u[:, 1])
-    expected = sum(
-        int(u[row, 3] < ratios[k][inverse_cdf(cums[k], u[row, 2])]) for row, k in enumerate(keys)
-    )
-    assert sample_words(monkeypatch, omega_graph(g), source, words) == expected
+    drawn = joint_draws(inverse_cdf(cum_keys, u[:, 0]), joints, u[:, 1])
+    assert sample_words(monkeypatch, omega_graph(g), source, words) == int(np.count_nonzero(drawn % 2 == 0))
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -494,34 +506,34 @@ def pinned_rate(name: str) -> float:
     return sum(w * float(np.real(np.vdot(v, omega @ v))) for w, v in states)
 
 
-# Graph entries: pass counts of the two-stage sampler, which draws the flip
-# string and then the parity decision; ring1-1, ring2-3, ring2-65536 and
-# ring6-2 kept the counts of the Bell-outcome table sampler before it. The
-# bell, bell-product, bell-product-composite and mub-d4 entries are those of
-# the one-shot (trials, 4) table sampler that preceded the streamed one.
+# Pass counts of the joint sampler, which reads two words per trial: one
+# draws the source key, the other the round's outcome together with its
+# decision. ring1-1, ring2-3, ring2-65536 and ring6-2 kept the counts of the
+# four-word samplers before it, which drew each copy's component, the outcome
+# and an accept threshold from words of their own.
 # test_pinned_counts_lie_within_five_sigma_of_the_exact_rate backs them all.
 PINNED_PASSES = {
     "ring1-1": 1,
-    "ring1-65537": 60460,
+    "ring1-65537": 60424,
     "ring2-3": 3,
     "ring2-65536": 65536,
-    "ring3-65535": 52042,
-    "ring3-70001": 55616,
-    "ring4-1000": 956,
-    "ring4-200003": 191971,
-    "ring5-65535": 51219,
-    "ring5-65537": 51048,
-    "ring6-131072": 126050,
+    "ring3-65535": 52208,
+    "ring3-70001": 55728,
+    "ring4-1000": 964,
+    "ring4-200003": 191842,
+    "ring5-65535": 51020,
+    "ring5-65537": 51127,
+    "ring6-131072": 126073,
     "ring6-2": 2,
-    "ring7-4099": 3172,
-    "ring7-65537": 50715,
-    "ring8-131075": 125806,
-    "ring8-65535": 62856,
-    "ring4-composite": 63261,
-    "bell": 58930,
-    "bell-product": 46494,
-    "bell-product-composite": 84010,
-    "mub-d4": 58106,
+    "ring7-4099": 3175,
+    "ring7-65537": 50963,
+    "ring8-131075": 126041,
+    "ring8-65535": 62893,
+    "ring4-composite": 63159,
+    "bell": 58973,
+    "bell-product": 46710,
+    "bell-product-composite": 84283,
+    "mub-d4": 58007,
 }
 
 
@@ -562,8 +574,8 @@ def test_pass_counts_do_not_depend_on_the_chunk_size(monkeypatch, chunk):
     assert chunk_invariance_runs() == default
 
 
-@pytest.mark.parametrize("trials", [1, 2**15 - 1, 2**15, 2**15 + 1, 3 * 2**15 + 7])
-def test_block_words_together_equal_one_draw(monkeypatch, trials):
+def assert_two_words_per_trial(monkeypatch, trials: int) -> None:
+    """The blocks of one run together draw the first 2 * trials words of the stream."""
     drawn = {}
     block_words = montecarlo._block_words
 
@@ -574,7 +586,25 @@ def test_block_words_together_equal_one_draw(monkeypatch, trials):
     monkeypatch.setattr(montecarlo, "_block_words", recording)
     simulate_protocol(bell_product_strategy(), TrialConfig(trials, 2**64 - 5, BELL_MIX))
     words = np.concatenate([drawn[start] for start in sorted(drawn)])
-    assert np.array_equal(words.reshape(-1), np.random.Philox(key=2**64 - 5).random_raw(4 * trials))
+    assert words.shape == (trials, 2)
+    # Philox makes four words per counter.
+    stream = np.random.Philox(key=2**64 - 5).random_raw(4 * -(-trials // 2))
+    assert np.array_equal(words.reshape(-1), stream[: 2 * trials])
+
+
+BLOCK_WORD_TRIALS = [1, 2**15 - 1, 2**15, 2**15 + 1, 3 * 2**15 + 7]
+
+
+@pytest.mark.parametrize("trials", BLOCK_WORD_TRIALS)
+def test_block_words_together_equal_one_draw(monkeypatch, trials):
+    assert_two_words_per_trial(monkeypatch, trials)
+
+
+@pytest.mark.parametrize("trials", BLOCK_WORD_TRIALS)
+def test_block_words_from_odd_starts_together_equal_one_draw(monkeypatch, trials):
+    # Blocks of 7 trials start at odd rows, in the middle of a counter.
+    monkeypatch.setattr(montecarlo, "_CHUNK_TRIALS", 7)
+    assert_two_words_per_trial(monkeypatch, trials)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -614,6 +644,33 @@ def test_blocks_are_drawn_on_at_most_one_thread_per_worker(monkeypatch, workers)
         sys.setswitchinterval(interval)
     assert threading.get_ident() in drawers
     assert len(drawers) <= workers
+
+
+@pytest.mark.parametrize("subject", ["graph", "decomposition"])
+def test_sources_with_more_key_rows_than_the_bound_are_refused_before_any_is_built(
+    monkeypatch, subject
+):
+    # Each key holds a row of 2^16 one-byte entries, so 1,024 keys, 32 i.i.d.
+    # components, fill the 64 MiB bound.
+    strat = omega_graph(PATH2) if subject == "graph" else bell_product_strategy()
+    lookups = []
+
+    class Recording(montecarlo._StepLookup):
+        def __init__(self, values):
+            lookups.append(len(values))
+            super().__init__(values)
+
+    monkeypatch.setattr(montecarlo, "_StepLookup", Recording)
+
+    def source(comps: int) -> list[tuple[float, Ket]]:
+        return [(1.0 / comps, Ket(closed_form_ket(4, 0.3 + 0.1 * k), (2, 2))) for k in range(comps)]
+
+    assert 0 <= simulate_protocol(strat, TrialConfig(10, 3, source(32)))[0] <= 10
+    assert lookups[0] == 32 * 32 - 1  # the key CDF
+    lookups.clear()
+    with pytest.raises(ValueError, match="1089 keys.*64 MiB bound"):
+        simulate_protocol(strat, TrialConfig(10, 3, source(33)))
+    assert lookups == []
 
 
 def test_a_failing_block_raises_in_the_caller(second_key_refused):

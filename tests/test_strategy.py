@@ -1,8 +1,10 @@
 """Strategy construction, spectral scalars, sample counts, channels, JSON."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import random_unit
@@ -297,6 +299,56 @@ def test_two_copy_complexity_anchor_and_guards():
 def test_two_copy_analysis_scalar_consistency_guard():
     with pytest.raises(ValueError, match="outside"):
         TwoCopyAnalysis(1.5, 0.5, 0.2, None)
+
+
+# ---------------------------------------------------------------------
+# Monotonicity of the sample counts
+# ---------------------------------------------------------------------
+
+# Counts are compared with a relative tolerance; two inputs count as apart
+# when they differ by more than SEPARATED, far above the rounding of the counts.
+COUNT_REL = 1e-12
+SEPARATED = 1e-6
+LAMBDAS = st.floats(min_value=0.0, max_value=0.99)
+EPSILONS = st.floats(min_value=1e-6, max_value=0.4)
+DELTAS = st.floats(min_value=1e-9, max_value=0.5)
+
+
+def exact_count(protocol: str, lam: float, eps: float, delta: float) -> float:
+    """exact_N of the single-copy protocol or of a two-copy one whose other scalars vanish."""
+    if protocol == "single-copy":
+        return single_copy_complexity(lam, eps, delta).exact_N
+    return two_copy_complexity(TwoCopyAnalysis(lam, 0.0, 0.0, UNBOUNDED), eps, delta).exact_N
+
+
+@pytest.mark.parametrize("protocol", ["single-copy", "two-copy"])
+@seed(27)
+@given(lam=LAMBDAS, eps=st.lists(EPSILONS, min_size=2, max_size=2), delta=DELTAS)
+@settings(max_examples=30, deadline=None, database=None)
+def test_exact_count_falls_as_epsilon_grows(protocol, lam, eps, delta):
+    low, high = sorted(eps)
+    assume(high > low * (1.0 + SEPARATED))
+    assert exact_count(protocol, lam, high, delta) < exact_count(protocol, lam, low, delta)
+
+
+@pytest.mark.parametrize("protocol", ["single-copy", "two-copy"])
+@seed(27)
+@given(lam=st.lists(LAMBDAS, min_size=2, max_size=2), eps=EPSILONS, delta=DELTAS)
+@settings(max_examples=30, deadline=None, database=None)
+def test_exact_count_falls_as_the_gap_grows(protocol, lam, eps, delta):
+    # A smaller lambda is a wider gap 1 - lambda.
+    low, high = sorted(lam)
+    assume(1.0 - low > (1.0 - high) * (1.0 + SEPARATED))
+    assert exact_count(protocol, low, eps, delta) < exact_count(protocol, high, eps, delta)
+
+
+@pytest.mark.parametrize("protocol", ["single-copy", "two-copy"])
+@seed(27)
+@given(lam=LAMBDAS, eps=EPSILONS, delta=st.lists(DELTAS, min_size=2, max_size=2))
+@settings(max_examples=30, deadline=None, database=None)
+def test_exact_count_is_linear_in_log_one_over_delta(protocol, lam, eps, delta):
+    per_log = [exact_count(protocol, lam, eps, d) / math.log(1.0 / d) for d in delta]
+    assert per_log[1] == pytest.approx(per_log[0], rel=COUNT_REL)
 
 
 # ---------------------------------------------------------------------
