@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from typing import TYPE_CHECKING
 
@@ -37,6 +38,9 @@ EXIT_PRECONDITION = 3
 
 # Largest theta-grid step count; the fig4 table has one row per step.
 MAX_THETA_STEPS = 100_000
+
+# Largest strategy file read; on the tersest JSON ([0,0] per entry) a run peaks near 27x its size.
+MAX_STRATEGY_BYTES = 32 << 20
 
 FIG3_COLUMNS = ["epsilon", "N_graph", "N_PLM", "N_glob"]
 FIG4_COLUMNS = ["theta", "N_de_1", "N_de_2", "N_de_3", "N_de_4", "N_glob"]
@@ -264,6 +268,9 @@ def _two_copy_report(analysis: TwoCopyAnalysis, ns: argparse.Namespace) -> int:
 def _load_strategy(path: str):
     from .strategy import strategy_from_json
 
+    size = os.path.getsize(path)
+    if size > MAX_STRATEGY_BYTES:
+        raise ValueError(f"strategy file {path}: {size} bytes, over the {MAX_STRATEGY_BYTES}-byte bound")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)

@@ -95,24 +95,28 @@ class GraphCode:
 
 
 # =====================================================================
-# Bit-table helpers
+# Tables doubled one bit at a time
 # =====================================================================
 
 
-def _bit_table(n: int) -> np.ndarray:
-    """(2^n, n) array; column j holds the bit of vertex j+1 for each index."""
-    idx = np.arange(1 << n, dtype=np.int64)
-    shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
-    return (idx[:, None] >> shifts[None, :]) & 1
+def _adjacency_rows(g: Graph) -> np.ndarray:
+    """Each vertex's adjacency row read as a basis index, vertex 1 most significant."""
+    return g.adjacency() @ (1 << np.arange(g.n - 1, -1, -1, dtype=np.int64))
 
 
 def _edge_signs(g: Graph) -> np.ndarray:
-    """(-1)^(sum over edges of b_u b_v) for every basis index."""
-    bits = _bit_table(g.n)
-    exponent = np.zeros(1 << g.n, dtype=np.int64)
-    for u, v in g.edges:
-        exponent += bits[:, u - 1] * bits[:, v - 1]
-    return np.where(exponent % 2 == 0, 1.0, -1.0)
+    """(-1)^(sum over edges of b_u b_v) for every basis index, in O(2^n) work and memory.
+
+    Index 2^p sets vertex n - p alone, so for x < 2^p the sign of x + 2^p is
+    that of x times (-1)^popcount(x & row), row that vertex's adjacency row.
+    """
+    rows = _adjacency_rows(g)
+    low = np.arange(1 << (g.n - 1), dtype=np.int64)
+    signs = np.ones(1 << g.n)
+    for p in range(g.n):
+        added = walsh_signs(low[: 1 << p], rows[g.n - 1 - p])
+        np.multiply(signs[: 1 << p], added, out=signs[1 << p : 2 << p])
+    return signs
 
 
 def _hadamard_layer(n: int) -> np.ndarray:
@@ -133,8 +137,7 @@ def parity_accept_indices(g: Graph) -> np.ndarray:
     that vertex's adjacency row read as an index, and the table doubles one
     bit at a time: c(x + 2^p) = c(x) xor c(2^p) for x < 2^p, O(2^n) work.
     """
-    shifts = np.arange(g.n - 1, -1, -1, dtype=np.int64)
-    rows = g.adjacency() @ (1 << shifts)
+    rows = _adjacency_rows(g)
     codes = np.zeros(1 << g.n, dtype=np.int64)
     for p in range(g.n):
         np.bitwise_xor(codes[: 1 << p], rows[g.n - 1 - p], out=codes[1 << p : 2 << p])

@@ -2,37 +2,33 @@
 
 Every trial consumes one fixed row of two raw 64-bit words from a
 counter-based Philox stream keyed by the config seed: (source key draw,
-joint round draw). Philox makes four words per counter value, so counter c
+decision draw). Philox makes four words per counter value, so counter c
 holds trials 2c and 2c + 1, and trial t reads words 2t and 2t + 1 of
 Philox(key=seed).random_raw. The rows are cut into blocks of at most
 _CHUNK_TRIALS; the block that starts at row r draws its words from its own
 generator with the counter set to r >> 1, skipping one row when r is odd, and
 the blocks together equal one draw of the whole stream. Each block is reduced
-straight to a pass count. The first block runs in the caller, which builds
-the tables of the keys it draws; the caller then counts the rest beside one
-plain thread per further usable core, one block per thread at a time, so at
-most one block per core is held and memory does not grow with the trial
-count. A trial's result is a pure function of its own row and the per-key
-tables, so the block size, the worker count and the order in which blocks
-finish cannot change the pass count.
+straight to a pass count. The first block runs in the caller; the caller then
+counts the rest beside one plain thread per further usable core, one block
+per thread at a time, so at most one block per core is held and memory does
+not grow with the trial count. A trial's result is a pure function of its own
+row and its key's pass probability, so the block size, the worker count and
+the order in which blocks finish cannot change the pass count.
 
 A word w stands for the uniform u = (w >> 11) * 2^-53 that Generator.random
-makes of it, but u is never formed. With m = w >> 11, cdf <= u holds exactly
-when ceil(cdf * 2^53) <= m, so every draw is an exact integer comparison with
-the outcome it has on u. Word 0 draws the source key by inverse CDF over the
-key weights: w_a * w_b in key order a * components + b for an i.i.d. pair of
-copies, else the component weights. Word 1 draws the round's joint (outcome,
-decision) by inverse CDF over the key's interleaved weights, and the round
-passes exactly when the drawn index is even. A decomposition key interleaves
-[w_t p_t, w_t (1 - p_t)] over the tests t, with p_t the test's pass
-probability. A graph key interleaves [A(x), P(x) - A(x)] over the flip
-strings x of the joint Bell outcome: P(x) = sum_r |P[r, r ^ x]|^2 for the
-key's pair amplitude matrix P, and A(x) the chance of drawing x together with
-the phase string c(x) that the parity decision accepts. Each lookup counts the
-thresholds at or below m with one gather from a table over the top 16 bits of
-w; only rows whose bucket holds a threshold fall back to a binary search. A
-key's table holds only the parity of that count, and is built when the key is
-first drawn.
+makes of it, but u is never formed: with m = w >> 11, v <= u holds exactly
+when ceil(v * 2^53) <= m, an exact integer comparison. Word 0 draws the source
+key by inverse CDF over the key weights: w_a * w_b in key order a * components
++ b for an i.i.d. pair of copies, else the component weights. A table over the
+top 16 bits of w gives most rows their key in one gather; only rows whose
+bucket holds a threshold fall back to a binary search. Word 1 passes the round
+exactly when u < p_key, the key's pass probability, computed when the key is
+first drawn and kept as one integer tick. Only pass counts are reported, and
+given its key a round passes with p_key whatever outcome it shows, so no
+outcome is drawn. A decomposition key passes with sum_t w_t p_t over the tests
+t, p_t the test's pass probability on the key's state. A graph key passes with
+sum_x A(x) over the flip strings x of the joint Bell outcome, A(x) the chance
+of x together with the phase string c(x) that the parity decision accepts.
 
 Source descriptors are a single ket or a weighted list of kets. Components
 living on a single copy of the target space are drawn independently for each
@@ -92,8 +88,8 @@ _BUCKET_SHIFT = 64 - _BUCKET_BITS
 _SPAN_SHIFT = _BUCKET_SHIFT - _MANTISSA_SHIFT
 _BUCKETS = 1 << _BUCKET_BITS
 
-# Bound on the keys' lookup rows together: 1,024 keys of one byte per bucket.
-_KEY_ROWS_BYTES = 1 << 26
+# Bound on the keys a source may draw; each block's census of unbuilt keys spans them all.
+_MAX_KEYS = 1 << 10
 
 # Gathered pair amplitudes per block of flip strings.
 _FLIP_BLOCK_ENTRIES = 1 << 16
@@ -160,8 +156,8 @@ def _count_passes(
 
     Word 0 of each row draws its key: a component or, with pairs (an i.i.d.
     source on two copies), a component pair a * components + b drawn with
-    chance w_a * w_b. The first block runs in the caller, so the tables its
-    keys need are built on this thread. The caller then starts up to
+    chance w_a * w_b. The first block runs in the caller, so the keys it
+    draws are built on this thread. The caller then starts up to
     _WORKERS - 1 threads and drains the rest beside them, each taking the
     next block until none is left, so at most _WORKERS blocks are held at
     once and block_passes must be safe to call from several threads at once.
@@ -216,11 +212,6 @@ def _mantissas(words: np.ndarray) -> np.ndarray:
     return (words >> _MANTISSA_SHIFT).view(np.int64)
 
 
-def _buckets(words: np.ndarray) -> np.ndarray:
-    """Top 16 bits per word, the index into a lookup table."""
-    return (words >> _BUCKET_SHIFT).view(np.int64)
-
-
 def _ticks(values) -> np.ndarray:
     """ceil(v * 2^53) per value in [0, 1]: v <= u iff ticks <= m, u < v iff m < ticks."""
     return np.ceil(np.clip(values, 0.0, 1.0) * 2.0**53).astype(np.int64)
@@ -243,7 +234,7 @@ class _StepLookup:
         self.table[buckets[self.ticks % (1 << _SPAN_SHIFT) != 0]] = -1
 
     def count(self, words: np.ndarray) -> np.ndarray:
-        out = self.table[_buckets(words)]
+        out = self.table[(words >> _BUCKET_SHIFT).view(np.int64)]
         inside = np.flatnonzero(out < 0)
         if inside.size:
             out[inside] = np.searchsorted(self.ticks, _mantissas(words[inside]), side="right")
@@ -273,10 +264,10 @@ def simulate_protocol(
 ) -> tuple[int, float, float]:
     """Sample the verification protocol; returns (passes, p_emp, stderr).
 
-    Graph strategies are simulated at the protocol level: per round the flip
-    string of the joint Bell outcome and the parity decision on it are drawn
-    together from their exact joint distribution. Other strategies need a
-    decomposition; per round a test and its pass or fail are drawn together.
+    Graph strategies are simulated at the protocol level: per round the
+    parity decision passes with the source key's exact chance of a joint Bell
+    outcome that the decision accepts. Other strategies need a decomposition;
+    per round the decision passes with the key's test-weighted pass chance.
     """
     if isinstance(s, GraphStrategy):
         passes = _graph_passes(s, cfg)
@@ -295,35 +286,29 @@ def simulate_protocol(
 
 def _flip_stage(
     n: int, codes: np.ndarray, amplitudes: np.ndarray, left: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """P(x) and A(x) over the flip strings x of a pair amplitude matrix P.
+) -> np.ndarray:
+    """A(x) over the flip strings x of a pair amplitude matrix P.
 
     P[r, s] is left[r] * amplitudes[s] for a product pair, else entry
-    r * d + s of the flat amplitudes. P(x) = sum_r |P[r, r ^ x]|^2 is the
-    chance to draw x and A(x) = |sum_r (-1)^popcount(c(x) & r) P[r, r ^ x]|^2 / d
-    that of drawing x with the accepted phase string c(x) = codes[x]. Both
-    are one signed sum per x, taken over blocks of about _FLIP_BLOCK_ENTRIES
-    gathered entries, so no d x d array is formed. Real entries keep the
-    sums real.
+    r * d + s of the flat amplitudes. A(x) = |sum_r (-1)^popcount(c(x) & r) P[r, r ^ x]|^2 / d
+    is the chance of drawing x with the accepted phase string c(x) = codes[x].
+    It is one signed sum per x, taken over blocks of about _FLIP_BLOCK_ENTRIES
+    gathered entries, so no d x d array is formed. Real entries keep the sums
+    real.
     """
     # Shares no code with graph_strategy's accept-ket rows, so the sampler's
     # cross-check stays independent.
     d = 1 << n
     rows = np.arange(d, dtype=np.int64)
+    scale, offset = (1.0, rows * d) if left is None else (left, 0)
     width = min(d, max(1, _FLIP_BLOCK_ENTRIES >> n))
-    drawn, accepted = np.empty(d), np.empty(d)
+    accepted = np.empty(d)
     for start in range(0, d, width):
         flips = rows[start : start + width, None]
-        index = rows ^ flips
-        if left is None:
-            index += rows * d
-        block = amplitudes.reshape(-1)[index]
-        if left is not None:
-            block = left * block
-        drawn[start : start + width] = np.einsum("xr,xr->x", block, block.conj()).real
-        signed = np.einsum("xr,xr->x", walsh_signs(codes[flips], rows), block)
+        block = amplitudes.reshape(-1)[(rows ^ flips) + offset]
+        signed = np.einsum("xr,xr->x", walsh_signs(codes[flips], rows) * scale, block)
         accepted[start : start + width] = np.abs(signed) ** 2 / d
-    return drawn, accepted
+    return accepted
 
 
 def _graph_passes(gs: GraphStrategy, cfg: TrialConfig) -> int:
@@ -335,15 +320,12 @@ def _graph_passes(gs: GraphStrategy, cfg: TrialConfig) -> int:
     comps = len(kets)
     codes = parity_accept_indices(gs.graph)
 
-    def build(key: int) -> np.ndarray:
-        """The key's interleaved [A(x), P(x) - A(x)] over the flip strings x."""
-        if iid:
-            drawn, accepted = _flip_stage(n, codes, kets[key % comps], kets[key // comps])
-        else:
-            drawn, accepted = _flip_stage(n, codes, kets[key])
-        return np.column_stack([accepted, np.clip(drawn - accepted, 0.0, 1.0)]).ravel()
+    def build(key: int) -> float:
+        """The key's pass probability, sum_x A(x) over the flip strings x."""
+        pair = (kets[key % comps], kets[key // comps]) if iid else (kets[key],)
+        return float(np.sum(_flip_stage(n, codes, *pair)))
 
-    return _joint_passes(cfg, iid, build)
+    return _key_passes(cfg, iid, build)
 
 
 def _decomposition_passes(s: Strategy, cfg: TrialConfig) -> int:
@@ -359,68 +341,40 @@ def _decomposition_passes(s: Strategy, cfg: TrialConfig) -> int:
     tests = [t.entries for _, t in s.decomposition]
     pairs = iid and s.copies == 2
 
-    def build(key: int) -> np.ndarray:
-        """The key's interleaved [w_t p_t, w_t (1 - p_t)] over the tests t."""
+    def build(key: int) -> float:
+        """The key's pass probability, sum_t w_t p_t over the tests t."""
         state = np.kron(kets[key // comps], kets[key % comps]) if pairs else kets[key]
-        passing = np.clip(
-            [float(np.real(state.conj() @ (test @ state))) for test in tests], 0.0, 1.0
-        )
-        return np.column_stack([weights * passing, weights * (1.0 - passing)]).ravel()
+        passing = [float(np.real(state.conj() @ (test @ state))) for test in tests]
+        return float(weights @ np.clip(passing, 0.0, 1.0))
 
-    return _joint_passes(cfg, pairs, build)
+    return _key_passes(cfg, pairs, build)
 
 
-def _joint_passes(cfg: TrialConfig, pairs: bool, build: Callable[[int], np.ndarray]) -> int:
-    """Pass count of the joint rule both samplers follow.
+def _key_passes(cfg: TrialConfig, pairs: bool, build: Callable[[int], float]) -> int:
+    """Pass count of the rule both samplers follow.
 
-    Word 1 of a trial draws an index by inverse CDF over its key's
-    interleaved weights build(key), [pass, fail] per outcome, and the trial
-    passes when the index is even. A key is built when it is first drawn:
-    under a lock, by the thread that draws it, into a row allocated up front
-    that holds the index's parity per bucket, and no row changes once built.
-    Sources whose rows would exceed _KEY_ROWS_BYTES are refused before any
-    row is allocated.
+    Word 1 of a trial passes it exactly when u < build(key), the pass
+    probability of the trial's key, which is m < ceil(p * 2^53) on the
+    word's m = w >> 11. A key's tick is computed when the key is first
+    drawn, under a lock, by the thread that draws it, and no tick changes
+    once set. Sources of more than _MAX_KEYS keys are refused before any key
+    array is formed.
     """
     num_keys = len(cfg.source) ** 2 if pairs else len(cfg.source)
-    if num_keys * _BUCKETS > _KEY_ROWS_BYTES:
-        raise ValueError(
-            f"source draws {num_keys} keys, whose lookup rows would take "
-            f"{num_keys * _BUCKETS >> 20} MiB, over the {_KEY_ROWS_BYTES >> 20} MiB bound "
-            f"of {_KEY_ROWS_BYTES // _BUCKETS} keys"
-        )
-    # Row key maps the top 16 bits of word 1 to the parity of the index drawn
-    # there, or to -1 when a tick falls inside the bucket and ticks[key] is searched.
-    table = np.empty(num_keys * _BUCKETS, dtype=np.int8)
-    ticks: list[np.ndarray | None] = [None] * num_keys
-    built = np.zeros(num_keys, dtype=bool)
+    if num_keys > _MAX_KEYS:
+        raise ValueError(f"source draws {num_keys} keys, over the bound of {_MAX_KEYS} keys")
+    ticks = np.full(num_keys, -1, dtype=np.int64)  # -1 until the key is built
     lock = threading.Lock()
 
     def block_passes(words: np.ndarray, keys: np.ndarray) -> int:
         with lock:
             # Keys drawn for the first time; the census stops once every key is built.
-            missing = ~built
+            missing = ticks < 0
             if missing.any():
                 missing &= np.bincount(keys, minlength=num_keys) > 0
             for key in np.flatnonzero(missing):
-                lookup = _StepLookup(np.cumsum(build(key))[:-1])
-                row = table[key * _BUCKETS : (key + 1) * _BUCKETS]
-                np.bitwise_and(lookup.table, 1, out=row, casting="unsafe")
-                row[lookup.table < 0] = -1
-                ticks[key] = lookup.ticks
-                built[key] = True
-                del lookup  # its table is freed before the next key is built
-        index = np.left_shift(keys, _BUCKET_BITS, dtype=np.int64)
-        index += _buckets(words[:, 1])
-        parity = table[index]
-        inside = np.flatnonzero(parity < 0)
-        if inside.size:
-            owners = keys[inside]
-            mantissas = _mantissas(words[inside, 1])
-            for key in np.flatnonzero(np.bincount(owners)):
-                mine = owners == key
-                found = np.searchsorted(ticks[key], mantissas[mine], side="right")
-                parity[inside[mine]] = found & 1
-        return len(words) - int(np.count_nonzero(parity))
+                ticks[key] = _ticks(build(key))
+        return int(np.count_nonzero(_mantissas(words[:, 1]) < ticks[keys]))
 
     return _count_passes(cfg, pairs, block_passes)
 

@@ -39,6 +39,16 @@ def parity_code_table(g: Graph) -> np.ndarray:
     return ((bits @ g.adjacency()) % 2) @ (1 << shifts)
 
 
+def edge_product_signs(g: Graph) -> np.ndarray:
+    """(-1)^(sum over edges of b_u b_v) for every index b, read from the (2^n, n) bit table."""
+    shifts = np.arange(g.n - 1, -1, -1, dtype=np.int64)
+    bits = (np.arange(1 << g.n, dtype=np.int64)[:, None] >> shifts) & 1
+    exponent = np.zeros(1 << g.n, dtype=np.int64)
+    for u, v in g.edges:
+        exponent += bits[:, u - 1] * bits[:, v - 1]
+    return np.where(exponent % 2 == 0, 1.0, -1.0)
+
+
 def decide_parity_pass(g: Graph, b: GraphCode, b_prime: GraphCode) -> bool:
     """Accept iff the phase-outcome code b is the parity code of the flip-outcome code."""
     if len(b) != g.n or len(b_prime) != g.n:

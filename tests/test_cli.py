@@ -224,6 +224,23 @@ def test_analyze_missing_and_malformed_files(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_strategy_file_over_the_size_bound_exits_2_before_parsing(tmp_path, capsys, monkeypatch):
+    path = pathlib.Path(write_strategy(tmp_path, reference_bell_artifacts()[0]))
+    size = path.stat().st_size
+    monkeypatch.setattr(cli, "MAX_STRATEGY_BYTES", size)
+    assert main(["analyze", "--strategy", str(path)]) == 0  # a file at the bound loads
+    capsys.readouterr()
+    with path.open("a", encoding="utf-8") as fh:
+        fh.write(" ")
+    parsed = []
+    monkeypatch.setattr(cli.json, "load", parsed.append)
+    assert main(["analyze", "--strategy", str(path)]) == 2
+    assert parsed == []
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"{size + 1} bytes, over the {size}-byte bound" in err
+
+
 @pytest.mark.parametrize("copies", [0, -1, 7, 40, 10**7, "trivial"])
 def test_strategy_copies_out_of_range_exit_2_naming_copies(tmp_path, capsys, copies):
     # 10^7 copies must be refused before dim ** copies is ever computed, also

@@ -21,7 +21,7 @@ from qsvkit.graphs import (
     phase_aligned_deviation,
 )
 from qsvkit.qcore import HADAMARD, Ket, PAULI_X, PAULI_Z, bell_ket
-from reference import interleaved_permutation, parity_code, parity_code_table
+from reference import edge_product_signs, interleaved_permutation, parity_code, parity_code_table
 
 
 PATH2 = Graph(2, [(1, 2)])
@@ -126,6 +126,16 @@ def test_parity_accept_indices_equal_the_bit_table_product():
 def test_graph_state_path_amplitudes():
     amps = graph_state(PATH2).amplitudes
     assert np.allclose(amps, np.array([1, 1, 1, -1]) / 2.0)
+    # The doubled sign table equals the edge product on rings and seeded random graphs.
+    gen = np.random.Generator(np.random.Philox(key=12))
+    subjects = [ring(n) for n in range(1, 14)] + [Graph(3)]
+    for n in range(1, 14):
+        pairs = list(combinations(range(1, n + 1), 2))
+        subjects += [Graph(n, [e for e in pairs if gen.random() < density]) for density in (0.3, 0.7)]
+    for g in subjects:
+        signs = edge_product_signs(g)
+        assert np.array_equal(graphs._edge_signs(g), signs), g
+        assert np.array_equal(graph_state(g).amplitudes, signs.astype(complex) / np.sqrt(1 << g.n)), g
 
 
 def test_graph_state_path_maps_to_bell_under_single_hadamard():

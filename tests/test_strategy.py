@@ -8,6 +8,10 @@ from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import random_unit
+from qsvkit.ghz import mub_strategy_d4
+from qsvkit.graph_strategy import omega_graph
+from qsvkit.graphs import Graph
+from qsvkit.montecarlo import worst_case_oracle
 from qsvkit.qcore import Ket, Operator, bell_ket, orthonormal_complement
 from qsvkit.strategy import (
     UNBOUNDED,
@@ -349,6 +353,65 @@ def test_exact_count_falls_as_the_gap_grows(protocol, lam, eps, delta):
 def test_exact_count_is_linear_in_log_one_over_delta(protocol, lam, eps, delta):
     per_log = [exact_count(protocol, lam, eps, d) / math.log(1.0 / d) for d in delta]
     assert per_log[1] == pytest.approx(per_log[0], rel=COUNT_REL)
+
+
+# ---------------------------------------------------------------------
+# Local-unitary covariance
+# ---------------------------------------------------------------------
+
+COVARIANCE_EPSILON = 1e-3
+
+
+def haar_unitary(gen, d: int) -> np.ndarray:
+    """A Haar unitary: Q of a complex Gaussian's QR, each column's phase fixed by R's diagonal."""
+    q, r = np.linalg.qr(gen.normal(size=(d, d)) + 1j * gen.normal(size=(d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def conjugated(s: Strategy, u: np.ndarray) -> Strategy:
+    """(W Omega W', U psi), with W = U on every copy."""
+    w = u if s.copies == 1 else np.kron(u, u)
+    om = w @ s.omega.entries @ w.conj().T
+    omega = Operator((om + om.conj().T) / 2.0, s.omega.dims, hermitian=True)
+    return Strategy(omega, Ket(u @ s.target.amplitudes, s.target.dims), s.copies)
+
+
+def two_copy_subjects() -> list[Strategy]:
+    """The path-2 graph strategy and the product of two reference Bell strategies."""
+    strat, _ = reference_bell_artifacts()
+    prod = Operator(np.kron(strat.omega.entries, strat.omega.entries), (4, 4), hermitian=True)
+    return [omega_graph(Graph(2, [(1, 2)]), matrix_free=False).strategy, Strategy(prod, strat.target, 2)]
+
+
+@seed(28)
+@given(key=st.integers(min_value=0, max_value=2**64 - 1))
+@settings(max_examples=10, deadline=None, database=None)
+def test_lambda2_is_invariant_under_a_unitary_on_target_and_strategy(key):
+    gen = np.random.Generator(np.random.Philox(key=key))
+    subjects = [reference_bell_artifacts()[0]] + [mub_strategy_d4(t) for t in (0.1, 0.3, 0.5, 0.7)]
+    for s in subjects:
+        rotated = conjugated(s, haar_unitary(gen, s.target.dim))
+        assert abs(lambda2(rotated) - lambda2(s)) <= 1e-12
+
+
+@seed(28)
+@given(key=st.integers(min_value=0, max_value=2**64 - 1))
+@settings(max_examples=5, deadline=None, database=None)
+def test_two_copy_report_is_invariant_under_a_unitary_on_each_copy(key):
+    # The scalars near zero (gamma_star on the Bell product is about 1e-32)
+    # move by rounding, so every scalar is compared against an absolute tolerance.
+    gen = np.random.Generator(np.random.Philox(key=key))
+    for s in two_copy_subjects():
+        rotated = conjugated(s, haar_unitary(gen, s.target.dim))
+        before, after = (two_copy_analysis(x, epsilon=COVARIANCE_EPSILON) for x in (s, rotated))
+        for name in ("lambda_star", "gamma_star", "xi_star"):
+            assert abs(getattr(after, name) - getattr(before, name)) <= 1e-12, name
+        assert after.eps_max == before.eps_max
+        counts = [two_copy_complexity(x, COVARIANCE_EPSILON, 1e-3) for x in (before, after)]
+        assert counts[1].exact_N == pytest.approx(counts[0].exact_N, rel=1e-12)
+        assert counts[1].approx_N == pytest.approx(counts[0].approx_N, rel=1e-12)
+        oracle = [worst_case_oracle(x, COVARIANCE_EPSILON).p_hat for x in (s, rotated)]
+        assert abs(oracle[1] - oracle[0]) <= 1e-12
 
 
 # ---------------------------------------------------------------------
