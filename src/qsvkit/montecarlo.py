@@ -1,34 +1,22 @@
 """Protocol-level Monte Carlo simulation and an independent worst-case oracle.
 
-Every trial consumes one fixed row of two raw 64-bit words from a
-counter-based Philox stream keyed by the config seed: (source key draw,
-decision draw). Philox makes four words per counter value, so counter c
-holds trials 2c and 2c + 1, and trial t reads words 2t and 2t + 1 of
-Philox(key=seed).random_raw. The rows are cut into blocks of at most
-_CHUNK_TRIALS; the block that starts at row r draws its words from its own
-generator with the counter set to r >> 1, skipping one row when r is odd, and
-the blocks together equal one draw of the whole stream. Each block is reduced
-straight to a pass count. The first block runs in the caller; the caller then
-counts the rest beside one plain thread per further usable core, one block
-per thread at a time, so at most one block per core is held and memory does
-not grow with the trial count. A trial's result is a pure function of its own
-row and its key's pass probability, so the block size, the worker count and
-the order in which blocks finish cannot change the pass count.
-
-A word w stands for the uniform u = (w >> 11) * 2^-53 that Generator.random
-makes of it, but u is never formed: with m = w >> 11, v <= u holds exactly
-when ceil(v * 2^53) <= m, an exact integer comparison. Word 0 draws the source
-key by inverse CDF over the key weights: w_a * w_b in key order a * components
-+ b for an i.i.d. pair of copies, else the component weights. A table over the
-top 16 bits of w gives most rows their key in one gather; only rows whose
-bucket holds a threshold fall back to a binary search. Word 1 passes the round
-exactly when u < p_key, the key's pass probability, computed when the key is
-first drawn and kept as one integer tick. Only pass counts are reported, and
-given its key a round passes with p_key whatever outcome it shows, so no
-outcome is drawn. A decomposition key passes with sum_t w_t p_t over the tests
-t, p_t the test's pass probability on the key's state. A graph key passes with
-sum_x A(x) over the flip strings x of the joint Bell outcome, A(x) the chance
-of x together with the phase string c(x) that the parity decision accepts.
+Every round draws a source key and, given its key, passes with the key's
+exact pass probability p_key, whatever outcome it shows. So the pass count of
+a run has the law sum_k Binomial(n_k, p_k), with the key counts (n_k) drawn
+Multinomial(trials, w) over the key weights: w_a * w_b in key order
+a * components + b for an i.i.d. pair of copies, else the component weights.
+A run makes exactly these draws from one Generator over Philox(key=seed): the
+multinomial split of the trials over the keys, then one binomial per drawn
+key in ascending key order. Its work and memory are O(keys) and do not grow
+with the trial count, and its counts are a pure function of the seed. They
+rest on numpy's multinomial and binomial algorithms, which numpy may change
+between versions (NEP 19), so a count pinned under one numpy may move under
+another while keeping its law. A key is built, its p_key computed, only when
+it is drawn, and at most once. A decomposition key passes with
+sum_t w_t p_t over the tests t, p_t the test's pass probability on the key's
+state. A graph key passes with sum_x A(x) over the flip strings x of the joint
+Bell outcome, A(x) the chance of x together with the phase string c(x) that
+the parity decision accepts.
 
 Source descriptors are a single ket or a weighted list of kets. Components
 living on a single copy of the target space are drawn independently for each
@@ -54,8 +42,6 @@ analysis it cross-checks.
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -73,22 +59,8 @@ _ORACLE_TOL = 1e-10
 _ORACLE_MAX_ITERS = 500
 _ORACLE_PROBE_BOUND = 0.5
 
-# Trials per block of words (16 B each); the caller and each thread hold one block at a time.
-_CHUNK_TRIALS = 1 << 15
-
-# Threads that count blocks: one per core this process may run on.
-_WORKERS = (
-    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-)
-
-# Lookup buckets are the top 16 bits of a word w; each spans 2^37 values of w >> 11.
-_MANTISSA_SHIFT = 11
-_BUCKET_BITS = 16
-_BUCKET_SHIFT = 64 - _BUCKET_BITS
-_SPAN_SHIFT = _BUCKET_SHIFT - _MANTISSA_SHIFT
-_BUCKETS = 1 << _BUCKET_BITS
-
-# Bound on the keys a source may draw; each block's census of unbuilt keys spans them all.
+# Bound on the keys a source may draw, so its key weights and the builds a run
+# may make stay small; past it a source is refused before any key array is formed.
 _MAX_KEYS = 1 << 10
 
 # Gathered pair amplitudes per block of flip strings.
@@ -111,6 +83,8 @@ class TrialConfig:
         self.trials = int(self.trials)
         if self.trials < 1:
             raise ValueError(f"trial count must be positive: {self.trials}")
+        if self.trials >= 2**63:  # the multinomial split counts in int64
+            raise ValueError(f"trial count {self.trials} reaches the bound of 2**63 trials")
         self.seed = int(self.seed)
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed {self.seed} outside the 64-bit range")
@@ -134,111 +108,6 @@ class TrialConfig:
             total += weight
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"component weights sum to {total}, not 1")
-
-
-def _block_words(seed: int, start: int, rows: int) -> np.ndarray:
-    """Rows start .. start + rows - 1 of the (trials, 2) raw word stream.
-
-    Philox makes four words, two rows, per counter value, so a generator
-    whose counter starts at start >> 1 draws these rows of
-    Philox(key=seed).random_raw(2 * trials) after one skipped row when start
-    is odd.
-    """
-    skip = start & 1
-    words = np.random.Philox(key=seed, counter=start >> 1).random_raw(2 * (skip + rows))
-    return words[2 * skip :].reshape(rows, 2)
-
-
-def _count_passes(
-    cfg: TrialConfig, pairs: bool, block_passes: Callable[[np.ndarray, np.ndarray], int]
-) -> int:
-    """Sum of block_passes(words, keys) over the row blocks of the trial stream.
-
-    Word 0 of each row draws its key: a component or, with pairs (an i.i.d.
-    source on two copies), a component pair a * components + b drawn with
-    chance w_a * w_b. The first block runs in the caller, so the keys it
-    draws are built on this thread. The caller then starts up to
-    _WORKERS - 1 threads and drains the rest beside them, each taking the
-    next block until none is left, so at most _WORKERS blocks are held at
-    once and block_passes must be safe to call from several threads at once.
-    A failing block stops the others after their current blocks, and its
-    exception is raised here.
-    """
-    weights = np.array([w for w, _ in cfg.source])
-    if pairs:
-        weights = np.outer(weights, weights).ravel()
-    source = _StepLookup(np.cumsum(weights)[:-1])
-
-    def count(start: int) -> int:
-        words = _block_words(cfg.seed, start, min(_CHUNK_TRIALS, cfg.trials - start))
-        return block_passes(words, source.count(words[:, 0]))
-
-    passes = [count(0)]
-    starts = range(_CHUNK_TRIALS, cfg.trials, _CHUNK_TRIALS)
-    blocks = iter(starts)
-    take, stop = threading.Lock(), threading.Event()
-    failures: list[BaseException] = []
-
-    def drain() -> None:
-        total = 0
-        try:
-            while not stop.is_set():
-                with take:
-                    start = next(blocks, None)
-                if start is None:
-                    break
-                total += count(start)
-        except BaseException as exc:  # raised in the caller, never printed by a thread
-            stop.set()
-            failures.append(exc)
-        passes.append(total)
-
-    threads = [threading.Thread(target=drain) for _ in range(min(_WORKERS, len(starts)) - 1)]
-    for thread in threads:
-        thread.start()
-    try:
-        drain()
-    finally:
-        stop.set()  # also when the caller is interrupted
-        for thread in threads:
-            thread.join()
-    if failures:
-        raise failures[0]
-    return sum(passes)
-
-
-def _mantissas(words: np.ndarray) -> np.ndarray:
-    """m = w >> 11 per word, so that Generator.random's u is m * 2^-53."""
-    return (words >> _MANTISSA_SHIFT).view(np.int64)
-
-
-def _ticks(values) -> np.ndarray:
-    """ceil(v * 2^53) per value in [0, 1]: v <= u iff ticks <= m, u < v iff m < ticks."""
-    return np.ceil(np.clip(values, 0.0, 1.0) * 2.0**53).astype(np.int64)
-
-
-class _StepLookup:
-    """#{v <= u} over sorted values v, i.e. searchsorted(v, u, side="right"), per raw word.
-
-    table[b] counts the ticks in buckets up to b, which is every word's count
-    in bucket b unless a tick falls strictly inside it; such buckets hold -1
-    and their rows are resolved by a binary search.
-    """
-
-    def __init__(self, values) -> None:
-        self.ticks = _ticks(values)
-        buckets = self.ticks >> _SPAN_SHIFT
-        # the buckets b with i ticks in buckets up to b form a run of runs[i]
-        runs = np.diff(buckets[buckets < _BUCKETS], prepend=0, append=_BUCKETS)
-        self.table = np.repeat(np.arange(runs.size, dtype=np.int32), runs)
-        self.table[buckets[self.ticks % (1 << _SPAN_SHIFT) != 0]] = -1
-
-    def count(self, words: np.ndarray) -> np.ndarray:
-        out = self.table[(words >> _BUCKET_SHIFT).view(np.int64)]
-        inside = np.flatnonzero(out < 0)
-        if inside.size:
-            out[inside] = np.searchsorted(self.ticks, _mantissas(words[inside]), side="right")
-        return out
 
 
 def _source_mode(cfg: TrialConfig, single_dim: int, copies: int) -> bool:
@@ -353,30 +222,23 @@ def _decomposition_passes(s: Strategy, cfg: TrialConfig) -> int:
 def _key_passes(cfg: TrialConfig, pairs: bool, build: Callable[[int], float]) -> int:
     """Pass count of the rule both samplers follow.
 
-    Word 1 of a trial passes it exactly when u < build(key), the pass
-    probability of the trial's key, which is m < ceil(p * 2^53) on the
-    word's m = w >> 11. A key's tick is computed when the key is first
-    drawn, under a lock, by the thread that draws it, and no tick changes
-    once set. Sources of more than _MAX_KEYS keys are refused before any key
-    array is formed.
+    The trials are split over the keys by one multinomial draw, then each
+    drawn key adds one binomial draw at build(key), its pass probability, in
+    ascending key order; keys drawn by no trial are never built. Sources of
+    more than _MAX_KEYS keys are refused before any key array is formed.
     """
     num_keys = len(cfg.source) ** 2 if pairs else len(cfg.source)
     if num_keys > _MAX_KEYS:
         raise ValueError(f"source draws {num_keys} keys, over the bound of {_MAX_KEYS} keys")
-    ticks = np.full(num_keys, -1, dtype=np.int64)  # -1 until the key is built
-    lock = threading.Lock()
-
-    def block_passes(words: np.ndarray, keys: np.ndarray) -> int:
-        with lock:
-            # Keys drawn for the first time; the census stops once every key is built.
-            missing = ticks < 0
-            if missing.any():
-                missing &= np.bincount(keys, minlength=num_keys) > 0
-            for key in np.flatnonzero(missing):
-                ticks[key] = _ticks(build(key))
-        return int(np.count_nonzero(_mantissas(words[:, 1]) < ticks[keys]))
-
-    return _count_passes(cfg, pairs, block_passes)
+    weights = np.array([w for w, _ in cfg.source])
+    if pairs:
+        weights = np.outer(weights, weights).ravel()
+    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
+    counts = rng.multinomial(cfg.trials, weights / weights.sum())
+    return sum(
+        int(rng.binomial(counts[key], min(max(build(int(key)), 0.0), 1.0)))
+        for key in np.flatnonzero(counts)
+    )
 
 
 def fidelity_experiment(gs: GraphStrategy, ensemble: TrialConfig) -> tuple[float, float]:

@@ -130,17 +130,6 @@ def bell_table(n: int, matrix: np.ndarray) -> np.ndarray:
     return np.abs(hadamard @ matrix[rows[:, None], rows[:, None] ^ rows]) ** 2 / d
 
 
-def step_table(values) -> np.ndarray:
-    """montecarlo._StepLookup's table by counting each tick into its bucket, then a running sum."""
-    ticks = montecarlo._ticks(values)
-    buckets = ticks >> montecarlo._SPAN_SHIFT
-    table = np.zeros(montecarlo._BUCKETS, dtype=np.int32)
-    np.add.at(table, buckets[buckets < montecarlo._BUCKETS], 1)
-    np.add.accumulate(table, out=table)
-    table[buckets[ticks % (1 << montecarlo._SPAN_SHIFT) != 0]] = -1
-    return table
-
-
 def tensor_power_spec(spec: GhzSpec, k: int) -> GhzSpec:
     """Coefficient spec of k regrouped copies: all k-fold products, sorted.
 

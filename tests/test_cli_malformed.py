@@ -16,6 +16,7 @@ import string
 import tempfile
 import warnings
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -175,6 +176,12 @@ def test_simulate_epsilon_on_a_dimension_1_strategy_exits_2_with_one_line():
     # A valid strategy whose target has no orthogonal direction to mix in.
     doc = {"dims": [1], "copies": 1, "target": [[1.0, 0.0]], "omega": [[1.0, 0.0]]}
     run_on_file(json.dumps(doc), ["simulate", "--epsilon", "0.1", "--strategy"])
+
+
+@pytest.mark.parametrize("trials", [2**63, 10**20])
+def test_simulate_trial_counts_past_int64_exit_2_with_one_line(trials):
+    # A run splits its trials over the source keys in int64 counts.
+    run_on_file("n 2\n1 2\n", ["simulate", "--trials", str(trials), "--graph"])
 
 
 @given(text=TEXT)
