@@ -14,18 +14,21 @@ def rng():
 
 
 @pytest.fixture
-def second_build_refused(monkeypatch):
-    """The second graph key built raises ValueError; returns a list with one entry per build."""
-    flip_stage, builds = montecarlo._flip_stage, []
+def second_block_refused(monkeypatch):
+    """The second block of flip strings that a graph key build signs raises ValueError.
+
+    Returns a list with one entry per block signed.
+    """
+    walsh_signs, blocks = montecarlo.walsh_signs, []
 
     def refusing(*args):
-        builds.append(len(builds))
-        if len(builds) == 2:
+        blocks.append(len(blocks))
+        if len(blocks) == 2:
             raise ValueError("second key refused")
-        return flip_stage(*args)
+        return walsh_signs(*args)
 
-    monkeypatch.setattr(montecarlo, "_flip_stage", refusing)
-    return builds
+    monkeypatch.setattr(montecarlo, "walsh_signs", refusing)
+    return blocks
 
 
 def random_unit(rng, dim: int) -> np.ndarray:

@@ -367,12 +367,12 @@ def test_simulate_graph_samples_once(tmp_path, capsys, monkeypatch):
     assert len(calls) == 1
 
 
-def test_simulate_reports_a_failing_key_build_as_one_line(tmp_path, capsys, second_build_refused):
+def test_simulate_reports_a_failing_block_as_one_line(tmp_path, capsys, second_block_refused):
     argv = ["simulate", "--graph", write_graph(tmp_path), "--epsilon", "0.3", "--trials", "2000"]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.splitlines() == ["error: second key refused"]
-    assert len(second_build_refused) == 2
+    assert len(second_block_refused) == 2
 
 
 def test_simulate_pure_target_always_passes(tmp_path, capsys):

@@ -3,6 +3,8 @@
 import ast
 import inspect
 import math
+import sys
+import threading
 import time
 from pathlib import Path
 
@@ -461,9 +463,33 @@ def test_pass_counts_are_the_multinomial_counts_of_the_passing_keys(g):
     assert simulate_protocol(gs, TrialConfig(trials, seed, source))[0] == counts[0] + counts[3]
 
 
-def test_decomposition_sampler_makes_the_documented_draws():
-    # One multinomial split of the trials over the keys a * 3 + b, then one
-    # binomial per drawn key in key order at its rate sum_t w_t p_t.
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+def test_uniforms_are_the_top_53_bits_of_the_raw_philox_words(seed):
+    # The run's generator reads the raw Philox stream, which numpy keeps
+    # stable across versions; only the algorithms drawing from it may change.
+    k = 5000
+    uniforms = np.random.Generator(np.random.Philox(key=seed)).random((k, 4))
+    words = np.random.Philox(key=seed).random_raw(4 * k).reshape(k, 4)
+    assert np.array_equal(uniforms, (words >> 11) * 2.0**-53)
+
+
+def one_draw(trials: int, seed: int, weights: np.ndarray, rates) -> int:
+    """The documented draws: one multinomial split of the trials over the
+    i.i.d. pair keys a * components + b, then one binomial per key's block of
+    trials in key order, all from one Generator(Philox(key=seed))."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    key_weights = np.outer(weights, weights).ravel()
+    counts = rng.multinomial(trials, key_weights / key_weights.sum())
+    return sum(int(rng.binomial(counts[key], rates[key])) for key in np.flatnonzero(counts))
+
+
+BLOCK_WORD_TRIALS = [1, 2**15 - 1, 2**15, 2**15 + 1, 3 * 2**15 + 7]
+
+
+@pytest.mark.parametrize("trials", BLOCK_WORD_TRIALS)
+def test_block_words_together_equal_one_draw(trials):
+    # The decomposition sampler's key blocks pass at sum_t w_t p_t, and its
+    # draws together equal one_draw at every trial count, one trial included.
     s = bell_product_strategy()
     weights = np.array([w for w, _ in BELL_MIX])
     states = [np.kron(ka.amplitudes, kb.amplitudes) for _, ka in BELL_MIX for _, kb in BELL_MIX]
@@ -472,12 +498,26 @@ def test_decomposition_sampler_makes_the_documented_draws():
         tests @ np.clip([float(np.real(np.vdot(v, t.entries @ v))) for _, t in s.decomposition], 0.0, 1.0)
         for v in states
     ]
-    trials, seed = 65_537, 52
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    key_weights = np.outer(weights, weights).ravel()
-    counts = rng.multinomial(trials, key_weights / key_weights.sum())
-    expected = sum(int(rng.binomial(counts[key], rates[key])) for key in np.flatnonzero(counts))
-    assert simulate_protocol(s, TrialConfig(trials, seed, BELL_MIX))[0] == expected
+    seed = 2**64 - 5
+    assert simulate_protocol(s, TrialConfig(trials, seed, BELL_MIX))[0] == one_draw(trials, seed, weights, rates)
+
+
+@pytest.mark.parametrize("trials", BLOCK_WORD_TRIALS)
+def test_block_words_from_odd_starts_together_equal_one_draw(monkeypatch, trials):
+    # Each graph key's flip stage runs in blocks of 3 of its 8 flip strings,
+    # so blocks start at odd strings; the run still equals one_draw over the
+    # keys' rates summed in one block.
+    g = ring(3)
+    source = iid_graph_source(3)
+    kets = [k.amplitudes for _, k in source]
+    kets = [ket.real if not ket.imag.any() else ket for ket in kets]
+    codes = parity_accept_indices(g)
+    rates = [float(np.sum(montecarlo._flip_stage(3, codes, b, a))) for a in kets for b in kets]
+    weights = np.array([w for w, _ in source])
+    monkeypatch.setattr(montecarlo, "_FLIP_BLOCK_ENTRIES", 3 << 3)
+    seed = 2**64 - 5
+    passes = simulate_protocol(omega_graph(g), TrialConfig(trials, seed, source))[0]
+    assert passes == one_draw(trials, seed, weights, rates)
 
 
 def test_only_drawn_keys_are_built_and_each_once(monkeypatch):
@@ -534,10 +574,88 @@ def test_sources_with_more_key_rows_than_the_bound_are_refused_before_any_is_bui
     assert outers == [] and built == []
 
 
-def test_a_failing_key_build_raises_in_the_caller(second_build_refused):
+def test_a_failing_block_raises_in_the_caller(second_block_refused):
     with pytest.raises(ValueError, match="second key refused"):
         simulate_protocol(omega_graph(ring(3)), TrialConfig(3000, 5, graph_mix(ring(3), 0.5)))
-    assert len(second_build_refused) == 2
+    assert len(second_block_refused) == 2
+
+
+def chunk_invariance_runs() -> list[int]:
+    g3 = Graph(3, [(1, 2), (2, 3)])
+    target3 = graph_state(g3)
+    iid3 = [
+        (0.6, target3),
+        (0.3, Ket(closed_form_ket(8, 0.63), target3.dims)),
+        (0.1, Ket(closed_form_ket(8, 2.9), target3.dims)),
+    ]
+    gs4 = omega_graph(ring(4))
+    return [
+        simulate_protocol(omega_graph(g3), TrialConfig(5000, 61, iid3))[0],
+        simulate_protocol(gs4, TrialConfig(4999, 62, composite_ring4_source()))[0],
+        simulate_protocol(bell_product_strategy(), TrialConfig(5000, 63, BELL_MIX))[0],
+    ]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 100_000])
+def test_pass_counts_do_not_depend_on_the_chunk_size(monkeypatch, chunk):
+    # The chunk is the flip stage's block of gathered pair amplitudes; at 1
+    # and 7 each block holds one flip string.
+    default = chunk_invariance_runs()
+    monkeypatch.setattr(montecarlo, "_FLIP_BLOCK_ENTRIES", chunk)
+    assert chunk_invariance_runs() == default
+
+
+def on_workers(workers: int, run) -> tuple[list, set[int]]:
+    """run() on the caller and on workers - 1 threads at once; returns the
+    results and the callers' thread idents."""
+    results, callers = [None] * workers, set()
+
+    def worker(index: int) -> None:
+        callers.add(threading.get_ident())
+        results[index] = run()
+
+    threads = [threading.Thread(target=worker, args=(index,)) for index in range(1, workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # threads switch often, so shared state between runs would show
+    try:
+        for thread in threads:
+            thread.start()
+        worker(0)
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    return results, callers
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_pass_counts_do_not_depend_on_the_worker_count(workers):
+    # Runs share no state, so concurrent runs each give their serial count.
+    default = chunk_invariance_runs()
+    names = ["ring4-200003", "ring8-131075", "ring4-composite", "bell-product-composite"]
+    pinned, _ = on_workers(workers, lambda: [pinned_run(name)[0] for name in names])
+    assert pinned == [[PINNED_PASSES[name] for name in names]] * workers
+    assert on_workers(workers, chunk_invariance_runs)[0] == [default] * workers
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_blocks_are_drawn_on_at_most_one_thread_per_worker(monkeypatch, workers):
+    # The sampler starts no threads: every flip-stage block of a run is
+    # signed on the thread that called it.
+    default = chunk_invariance_runs()
+    monkeypatch.setattr(montecarlo, "_FLIP_BLOCK_ENTRIES", 7)
+    drawers = set()
+    walsh_signs = montecarlo.walsh_signs
+
+    def recording(*args):
+        drawers.add(threading.get_ident())
+        return walsh_signs(*args)
+
+    monkeypatch.setattr(montecarlo, "walsh_signs", recording)
+    results, callers = on_workers(workers, chunk_invariance_runs)
+    assert results == [default] * workers
+    assert threading.get_ident() in drawers
+    assert drawers == callers and len(drawers) <= workers
 
 
 def test_a_run_of_10_to_the_15_trials_takes_under_a_second():
