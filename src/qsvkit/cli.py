@@ -134,6 +134,8 @@ def _check_args(ns: argparse.Namespace) -> None:
         raise ValueError(f"seed {ns.seed} outside the 64-bit range")
     if "trials" in ns and ns.trials < 1:
         raise ValueError(f"trials must be positive: {ns.trials}")
+    if "trials" in ns and ns.trials >= 2**63:  # a run splits its trials in int64 counts
+        raise ValueError(f"trials = {ns.trials} reaches the bound of 2**63 trials")
     if "graph_path" in ns and (ns.graph_path is None) == (ns.strategy_path is None):
         raise ValueError("provide exactly one of --graph or --strategy")
 
@@ -210,7 +212,7 @@ def _write_text(text: str, out_path: str | None) -> None:
 
 def cmd_analyze(ns: argparse.Namespace) -> int:
     """Eigenvalue scalars plus sample counts for a graph or strategy input."""
-    from .strategy import analysis_from_scalars, lambda2, single_copy_complexity, two_copy_analysis
+    from .strategy import TwoCopyAnalysis, lambda2, single_copy_complexity, two_copy_analysis
 
     if ns.graph_path is not None:
         from .graph_strategy import omega_graph, verify_graph_optimality
@@ -218,7 +220,7 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
 
         g = load_graph(ns.graph_path)
         opt = verify_graph_optimality(omega_graph(g))
-        analysis = analysis_from_scalars(opt.lambda_star, opt.gamma_star, opt.xi_star, ns.epsilon)
+        analysis = TwoCopyAnalysis(opt.lambda_star, opt.gamma_star, opt.xi_star)
         return _two_copy_report(analysis, ns)
 
     s = _load_strategy(ns.strategy_path)
@@ -234,7 +236,7 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
         return EXIT_OK
     if s.copies == 2:
         try:
-            analysis = two_copy_analysis(s, epsilon=ns.epsilon)
+            analysis = two_copy_analysis(s)
         except ValueError as exc:
             _emit_report({"hypothesis_failure": str(exc)}, ns)
             return EXIT_PRECONDITION
@@ -243,13 +245,13 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
 
 
 def _two_copy_report(analysis: TwoCopyAnalysis, ns: argparse.Namespace) -> int:
-    from .strategy import two_copy_complexity
+    from .strategy import insurance_ceiling, two_copy_complexity
 
     report = {
         "lambda_star": analysis.lambda_star,
         "gamma_star": analysis.gamma_star,
         "xi_star": analysis.xi_star,
-        "eps_max": analysis.eps_max,
+        "eps_max": insurance_ceiling(analysis.gamma_star, analysis.xi_star, ns.epsilon)[0],
     }
     try:
         counts = two_copy_complexity(analysis, ns.epsilon, ns.delta)
@@ -287,10 +289,10 @@ def cmd_curves(ns: argparse.Namespace) -> int:
     import numpy as np
 
     from .ghz import GhzSpec, n_de_k
-    from .strategy import analysis_from_scalars, single_copy_complexity, two_copy_complexity
+    from .strategy import TwoCopyAnalysis, single_copy_complexity, two_copy_complexity
 
     if ns.figure == "fig3":
-        free = analysis_from_scalars(0.0, 0.0, 0.0)
+        free = TwoCopyAnalysis(0.0, 0.0, 0.0)
         rows = []
         for eps in np.logspace(-4.0, -1.0, 30):
             rows.append(

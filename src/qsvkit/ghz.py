@@ -132,7 +132,7 @@ def n_de_k(spec: GhzSpec, k: int, epsilon: float, delta: float) -> ComplexityRep
     s0, s1 = (float(c) for c in spec.coeffs[:2])
     lam = _lhz(spec.n, s0 ** (2 * k), s0 ** (2 * k - 2) * s1**2)
     eps_group = -math.expm1(k * math.log1p(-epsilon))  # 1 - (1-eps)^k
-    return sample_counts(lam, epsilon, delta, k, eps_group, "dimension_expansion")
+    return sample_counts(lam, epsilon, delta, k, eps_group)
 
 
 # =====================================================================

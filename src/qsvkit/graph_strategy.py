@@ -44,6 +44,8 @@ from .strategy import Strategy, two_copy_analysis
 
 MATRIX_FREE_DEFAULT_FROM = 5
 
+OPTIMALITY_TOL = 1e-9  # verify_graph_optimality's bound on each scalar and the residual
+
 # Entries per row block of apply_omega (8 MB per float64 array).
 _BLOCK_ENTRIES = 1 << 20
 
@@ -198,7 +200,6 @@ class GraphOptimalityReport:
     xi_star: float
     annihilation_residual: float
     passed: bool
-    tol: float
     route: str
 
 
@@ -244,7 +245,7 @@ def _frobenius_certificate(g: Graph, psi: np.ndarray) -> float:
     return float(np.sqrt(4.0 * np.vdot(even, odd)) / psi.size ** 1.5)
 
 
-def verify_graph_optimality(gs: GraphStrategy, tol: float = 1e-9) -> GraphOptimalityReport:
+def verify_graph_optimality(gs: GraphStrategy) -> GraphOptimalityReport:
     """Check the three governing scalars vanish and the operator kills P_s P_psi.
 
     Graphs with n <= 3 and a dense operator take their exact scalars from
@@ -265,8 +266,8 @@ def verify_graph_optimality(gs: GraphStrategy, tol: float = 1e-9) -> GraphOptima
         top = frob * frob
         lam, gam, xi = 2.0 * top, top, 1.5 * top
 
-    passed = max(lam, gam, xi, frob) <= tol
-    return GraphOptimalityReport(lam, gam, xi, frob, passed, tol, route)
+    passed = max(lam, gam, xi, frob) <= OPTIMALITY_TOL
+    return GraphOptimalityReport(lam, gam, xi, frob, passed, route)
 
 
 # =====================================================================

@@ -6,9 +6,9 @@ tests with sampling probabilities. Single-copy efficiency is governed by the
 second-largest eigenvalue of Omega; the two-copy analysis reduces Omega to
 three scalars (lambda_star, gamma_star, xi_star) obtained by compressing the
 operator onto the subspace where the first copy is on target and the second
-is orthogonal to it. From those scalars follow the local-maximum check, the
-infidelity ceiling eps_max under which the two-copy pass analysis holds, and
-sample-count estimates.
+is orthogonal to it. From those epsilon-free scalars follow the local-maximum
+check and, at each epsilon, the ceiling eps_max under which the two-copy pass
+analysis holds and the sample counts.
 
 The compression contracts Omega with psi once, on the first copy's input,
 and projects the result with P = I - psi psi^dag: no basis of psi-perp is
@@ -23,9 +23,9 @@ Sample-count conventions: every count comes from sample_counts, given the
 eigenvalue, the copies per round and the per-round infidelity: epsilon for
 single-copy tests, 2 epsilon at leading order for two-copy rounds, and
 1 - (1 - epsilon)^k for k-copy groups. exact_N is a real (consumers round
-up). eps_max is float("inf") when unbounded; regime thresholds around
-sqrt(epsilon) follow fixed factors of 10 either way, with an explicit
-ambiguity flag in between.
+up). insurance_ceiling is the one source of eps_max (float("inf") when
+unbounded) and of its regime flag, set when gamma_star falls between the fixed
+thresholds 0.1 sqrt(epsilon) and 10 sqrt(epsilon).
 """
 
 from __future__ import annotations
@@ -121,20 +121,15 @@ def _target_power(target: Ket, copies: int) -> np.ndarray:
 
 @dataclass
 class TwoCopyAnalysis:
-    """Scalars controlling a swap-symmetric two-copy strategy.
+    """The three epsilon-free scalars of a swap-symmetric two-copy strategy.
 
-    ``eps_max`` is the infidelity ceiling: float("inf") when unbounded, None
-    when it cannot be decided without a concrete epsilon.
-    ``regime_ambiguous`` marks gamma_star falling between the two fixed
-    sqrt(epsilon) thresholds (or an undecidable regime), in which case
-    eps_max carries the bounded-case value but should be read with care.
+    Each lies in [0, 1]. The infidelity ceiling at a given epsilon comes
+    from insurance_ceiling(gamma_star, xi_star, epsilon).
     """
 
     lambda_star: float
     gamma_star: float
     xi_star: float
-    eps_max: float | None
-    regime_ambiguous: bool = False
 
     def __post_init__(self) -> None:
         for name in ("lambda_star", "gamma_star", "xi_star"):
@@ -184,11 +179,10 @@ class KrausChannel:
 
 @dataclass
 class ComplexityReport:
-    """Sample-count estimates from sample_counts, tagged with their protocol."""
+    """Sample-count estimates from sample_counts."""
 
     exact_N: float
     approx_N: float
-    formula_id: str
 
 
 # =====================================================================
@@ -199,8 +193,8 @@ def lambda2(s: Strategy) -> float:
     """Second-largest eigenvalue of a single-copy strategy operator.
 
     Computed as the top eigenvalue after deflating exactly the target
-    eigenvector (not the whole unit eigenspace), so operators with several
-    unit eigenvalues report 1.
+    eigenvector (not the whole unit eigenspace) and clamped to [0, 1], so
+    operators with several unit eigenvalues report 1, not a rounded 1 + ulp.
     """
     if s.copies != 1:
         raise ValueError(f"lambda2 needs a single-copy strategy, got copies = {s.copies}")
@@ -209,7 +203,7 @@ def lambda2(s: Strategy) -> float:
 
 
 def sample_counts(
-    lam: float, epsilon: float, delta: float, copies: int, round_infidelity: float, formula_id: str
+    lam: float, epsilon: float, delta: float, copies: int, round_infidelity: float
 ) -> ComplexityReport:
     """The one sample-count rule behind every protocol.
 
@@ -224,12 +218,12 @@ def sample_counts(
             raise ValueError(f"{name} = {val} outside (0, 1)")
     gap = (1.0 - lam) * epsilon
     if gap <= 0.0:
-        return ComplexityReport(UNBOUNDED, UNBOUNDED, formula_id)
+        return ComplexityReport(UNBOUNDED, UNBOUNDED)
     shrink = (1.0 - lam) * round_infidelity
     if shrink >= 1.0:
         raise ValueError(f"pass probability 1 - {shrink} is not positive; epsilon too large")
     exact = copies * math.log(delta) / math.log1p(-shrink)
-    return ComplexityReport(exact, math.log(1.0 / delta) / gap, formula_id)
+    return ComplexityReport(exact, math.log(1.0 / delta) / gap)
 
 
 def single_copy_complexity(lambda2: float, epsilon: float, delta: float) -> ComplexityReport:
@@ -239,14 +233,14 @@ def single_copy_complexity(lambda2: float, epsilon: float, delta: float) -> Comp
     """
     if not 0.0 <= lambda2 <= 1.0:
         raise ValueError(f"lambda2 = {lambda2} outside [0, 1]")
-    return sample_counts(lambda2, epsilon, delta, 1, epsilon, "single_copy")
+    return sample_counts(lambda2, epsilon, delta, 1, epsilon)
 
 
 # =====================================================================
 # Two-copy analysis
 # =====================================================================
 
-def two_copy_analysis(s: Strategy, epsilon: float | None = None) -> TwoCopyAnalysis:
+def two_copy_analysis(s: Strategy) -> TwoCopyAnalysis:
     """Compress a swap-symmetric two-copy strategy to its governing scalars.
 
     With half[i, j, l] = <i j|Omega|psi l> (Omega contracted with psi on the
@@ -254,15 +248,10 @@ def two_copy_analysis(s: Strategy, epsilon: float | None = None) -> TwoCopyAnaly
     a = P (psi^dag on the first output) P and g = P (psi^dag on the second
     output) P are the compressions of omega and F omega onto
     psi (x) psi-perp. lambda_star, gamma_star and xi_star are the top
-    eigenvalues, clamped at 0, of a + g, g and a + g/2; for an omega that
+    eigenvalues, clamped to [0, 1], of a + g, g and a + g/2; for an omega that
     commutes with the swap F (the symmetry precondition) a + g is twice the
     symmetric-subspace compression. g must come out Hermitian, which the
     symmetry also guarantees; its check runs first.
-
-    eps_max follows the fixed regime thresholds: bounded-case formula when
-    gamma_star >= 10 sqrt(epsilon), unbounded when gamma_star <= 0.1
-    sqrt(epsilon), both-with-flag in between. Without an epsilon the regime
-    is decided only in the clean gamma_star <= STRUCT_TOL case (unbounded).
     """
     if s.copies != 2:
         raise ValueError(f"two-copy analysis needs copies = 2, got {s.copies}")
@@ -284,17 +273,7 @@ def two_copy_analysis(s: Strategy, epsilon: float | None = None) -> TwoCopyAnaly
 
     if lam >= 1.0:
         raise ValueError(f"lambda_star = {lam} >= 1; two-copy analysis does not apply")
-    return analysis_from_scalars(lam, gam, xi, epsilon)
-
-
-def analysis_from_scalars(
-    lam: float, gam: float, xi: float, epsilon: float | None = None
-) -> TwoCopyAnalysis:
-    """Two-copy analysis record for given scalars of a swap-symmetric strategy.
-
-    Adds the insurance ceiling and its regime flag.
-    """
-    return TwoCopyAnalysis(lam, gam, xi, *insurance_ceiling(gam, xi, epsilon))
+    return TwoCopyAnalysis(lam, gam, xi)
 
 
 def _top_of_restricted(name: str, mat: np.ndarray) -> float:
@@ -302,30 +281,25 @@ def _top_of_restricted(name: str, mat: np.ndarray) -> float:
     if herm_dev > max(10.0 * STRUCT_TOL, 1e-9):
         raise ValueError(f"restricted operator for {name} is not Hermitian: deviation {herm_dev:.3e}")
     top = float(np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)[-1])
-    return max(top, 0.0)
+    return min(max(top, 0.0), 1.0)
 
 
-def insurance_ceiling(
-    gamma: float, xi: float, epsilon: float | None = None
-) -> tuple[float | None, bool]:
-    """Infidelity ceiling under which the two-copy pass bound holds, with regime flag.
+def insurance_ceiling(gamma: float, xi: float, epsilon: float) -> tuple[float, bool]:
+    """Infidelity ceiling eps_max under which the two-copy pass bound holds at epsilon.
 
     Returns (eps_max, ambiguous). gamma at or below 0.1 sqrt(epsilon) means
-    the ceiling is unbounded (inf); gamma at or above 10 sqrt(epsilon) means
-    the bounded-case formula applies cleanly; in between the bounded value is
-    returned with the ambiguity flag set. Without an epsilon only the clean
-    gamma <= STRUCT_TOL case is decided.
+    the ceiling is unbounded (inf); otherwise it is epsilon (1 + k^2) / 2 with
+    k = (1 - xi + gamma/2) / gamma, flagged ambiguous while gamma is below
+    10 sqrt(epsilon). Under the local-maximum condition xi + gamma/2 < 1,
+    k > 1, so eps_max > epsilon.
     """
-    if epsilon is None:
-        if gamma <= STRUCT_TOL:
-            return UNBOUNDED, False
-        return None, True
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon = {epsilon} outside (0, 1)")
     root = math.sqrt(epsilon)
     if gamma <= 0.1 * root:
         return UNBOUNDED, False
-    bounded = 0.5 * epsilon + 0.5 * epsilon * ((1.0 - xi + 0.5 * gamma) / gamma) ** 2
+    k = (1.0 - xi + 0.5 * gamma) / gamma
+    bounded = epsilon * (1.0 + k * k) / 2.0  # >= epsilon once k >= 1, subnormal epsilon too
     if gamma >= 10.0 * root:
         return bounded, False
     return bounded, True
@@ -336,8 +310,9 @@ def two_copy_complexity(analysis: TwoCopyAnalysis, epsilon: float, delta: float)
 
     Two copies per round at the leading-order per-round infidelity
     2 epsilon, so exact_N counts copies. The analysis must satisfy the
-    local-maximum condition, lambda_star < 1, and epsilon <= eps_max;
-    violations raise with the failing hypothesis named.
+    local-maximum condition, which keeps epsilon under insurance_ceiling's
+    eps_max, and lambda_star < 1; violations raise with the failing
+    hypothesis named.
     """
     if not analysis.local_max_ok:
         raise ValueError(
@@ -346,11 +321,7 @@ def two_copy_complexity(analysis: TwoCopyAnalysis, epsilon: float, delta: float)
         )
     if analysis.lambda_star >= 1.0:
         raise ValueError(f"lambda_star = {analysis.lambda_star} >= 1")
-    if analysis.eps_max is None:
-        raise ValueError("eps_max undecided; rerun the analysis with a concrete epsilon")
-    if epsilon > analysis.eps_max:
-        raise ValueError(f"epsilon = {epsilon} exceeds eps_max = {analysis.eps_max}")
-    return sample_counts(analysis.lambda_star, epsilon, delta, 2, 2.0 * epsilon, "two_copy")
+    return sample_counts(analysis.lambda_star, epsilon, delta, 2, 2.0 * epsilon)
 
 
 # =====================================================================

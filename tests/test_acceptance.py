@@ -50,7 +50,7 @@ def test_criterion_01_graph_strategies_have_vanishing_two_copy_scalars():
     checked = 0
     for n in range(1, 6):
         for g in connected_graphs(n):
-            report = verify_graph_optimality(omega_graph(g, matrix_free=False), tol=1e-9)
+            report = verify_graph_optimality(omega_graph(g, matrix_free=False))
             assert report.passed, (n, g.edges, report)
             assert max(report.lambda_star, report.gamma_star, report.xi_star) <= 1e-9
             checked += 1
@@ -59,7 +59,7 @@ def test_criterion_01_graph_strategies_have_vanishing_two_copy_scalars():
     ring6 = Graph(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6)])
     gs6 = omega_graph(ring6)
     assert gs6.strategy is None  # matrix-free past the dense threshold
-    report6 = verify_graph_optimality(gs6, tol=1e-9)
+    report6 = verify_graph_optimality(gs6)
     assert report6.route == "matrix_free"
     assert report6.passed
     assert time.monotonic() - started < 120.0

@@ -160,6 +160,18 @@ def test_analyze_hypothesis_failure_from_analysis(tmp_path, capsys):
     assert "lambda_star" in report["hypothesis_failure"]
 
 
+def test_analyze_accept_all_strategy_reports_unbounded_counts(tmp_path, capsys):
+    # On a random target the deflated identity's top eigenvalue rounds to
+    # 1.0000000000000002; it reads as 1, as on the basis target |00>.
+    rng = np.random.default_rng(0)
+    amps = rng.normal(size=4) + 1j * rng.normal(size=4)
+    for target in (amps / np.linalg.norm(amps), np.eye(4)[0]):
+        s = Strategy(Operator(np.eye(4, dtype=complex), (2, 2), hermitian=True), Ket(target, (2, 2)))
+        code, report = run_json(capsys, ["analyze", "--strategy", write_strategy(tmp_path, s)])
+        assert code == 0
+        assert report == {"lambda2": 1.0, "exact_N": "unbounded", "approx_N": "unbounded"}
+
+
 @pytest.mark.parametrize("shift", [-0.6, 0.9])
 def test_analyze_rejects_omega_outside_zero_and_identity(tmp_path, capsys, shift):
     # Shifting a 1/3 eigenvector of the reference operator leaves the spectrum
@@ -524,6 +536,8 @@ GRAPH_MODULES = {"numpy", "qsvkit.graphs", "qsvkit.graph_strategy", "qsvkit.stra
     "argv, code, loaded",
     [
         pytest.param(["simulate", "--trials", "0"], 2, set(), id="bad-trials"),
+        pytest.param(["simulate", GRAPH_FLAG, "--trials", str(2**63)], 2, set(),
+                     id="trials-past-int64"),
         pytest.param(["curves", "--figure", "fig4", "--theta-grid", "0.1:x:3"], 2, set(),
                      id="bad-theta-grid"),
         pytest.param(["curves", "--figure", "fig3", "--theta-grid", "0.1:0.7:5"], 2, set(),

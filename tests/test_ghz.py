@@ -118,7 +118,6 @@ def test_lambda2_lhz_closed_form_matches_materialized_powers():
 
 def test_n_de_k_bell_anchor():
     rep = n_de_k(BELL_SPEC, 2, 1e-3, 1e-3)
-    assert rep.formula_id == "dimension_expansion"
     assert rep.approx_N == pytest.approx(8634.694098727671, rel=1e-12)
     assert rep.exact_N < rep.approx_N * 1.01
 

@@ -23,7 +23,7 @@ from qsvkit.montecarlo import (
     worst_case_oracle,
 )
 from qsvkit.qcore import Ket, Operator, bell_ket, orthonormal_complement
-from qsvkit.strategy import Strategy, reference_bell_artifacts, two_copy_analysis
+from qsvkit.strategy import Strategy, insurance_ceiling, reference_bell_artifacts, two_copy_analysis
 from reference import (
     alternate,
     bell_table,
@@ -850,9 +850,10 @@ def _local_max_failing_strategy(seed: int, d: int = 3) -> Strategy:
 def test_oracle_dominates_random_fakes_where_the_local_maximum_fails(rng):
     s = _local_max_failing_strategy(3)
     eps = 0.05
-    analysis = two_copy_analysis(s, epsilon=eps)
+    analysis = two_copy_analysis(s)
     assert analysis.lambda_star < 1.0 and not analysis.local_max_ok
-    assert eps >= analysis.eps_max  # outside the analysis' own hypotheses
+    # outside the analysis' own hypotheses
+    assert eps >= insurance_ceiling(analysis.gamma_star, analysis.xi_star, eps)[0]
     report = worst_case_oracle(s, eps)
     assert report.converged
     psi, comp = s.target.amplitudes, orthonormal_complement(s.target)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, seed, settings
+from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import random_unit
@@ -100,7 +100,6 @@ def test_lambda2_rejects_two_copy_input():
 
 def test_single_copy_complexity_anchors():
     rep = single_copy_complexity(0.0, 1e-3, 1e-3)
-    assert rep.formula_id == "single_copy"
     assert rep.exact_N == pytest.approx(6904.300825408367, rel=1e-12)
     assert rep.approx_N == pytest.approx(6907.755278982137, rel=1e-12)
     rep3 = single_copy_complexity(1.0 / 3.0, 1e-3, 1e-3)
@@ -243,8 +242,6 @@ def test_two_copy_analysis_copies_guard(rng):
 
 
 def test_insurance_ceiling_regimes():
-    assert insurance_ceiling(0.0, 0.3) == (UNBOUNDED, False)
-    assert insurance_ceiling(0.5, 0.3) == (None, True)
     # clean bounded case: gamma >= 10 sqrt(eps)
     ceiling, ambiguous = insurance_ceiling(0.5, 0.2, epsilon=1e-4)
     assert not ambiguous
@@ -258,10 +255,31 @@ def test_insurance_ceiling_regimes():
         insurance_ceiling(0.5, 0.2, epsilon=1.5)
 
 
+@seed(30)
+@given(
+    gamma=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+    share=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    at_edge=st.booleans(),
+    eps=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+)
+@example(gamma=0.5, share=0.0, at_edge=True, eps=5e-324)
+@example(gamma=1e-160, share=0.0, at_edge=True, eps=5e-324)
+@example(gamma=1.0, share=0.0, at_edge=True, eps=float(np.nextafter(1.0, 0.0)))
+@example(gamma=2.0**-30, share=0.0, at_edge=True, eps=1e-30)
+@settings(max_examples=120, deadline=None, database=None)
+def test_insurance_ceiling_is_at_least_epsilon_under_the_local_maximum(gamma, share, at_edge, eps):
+    # This invariant is why two_copy_complexity checks no ceiling: once the
+    # local-maximum condition holds, epsilon never exceeds its own eps_max.
+    # at_edge puts xi one step below 1 - gamma/2, at the condition's edge.
+    xi = float(np.nextafter(1.0 - gamma / 2.0, 0.0)) if at_edge else share * (1.0 - gamma / 2.0)
+    assume(TwoCopyAnalysis(0.0, gamma, xi).local_max_ok)
+    assert insurance_ceiling(gamma, xi, eps)[0] >= eps
+
+
 def test_two_copy_analysis_threads_epsilon_to_ceiling(rng):
     # Interpolate between the target projector and the full symmetric
-    # projector; the compressed scalars come out (0.8, 0.4, 0.6), so the
-    # regime is undecidable without a concrete epsilon and clean with one.
+    # projector; the compressed scalars come out (0.8, 0.4, 0.6), and their
+    # ceiling at epsilon = 1e-4 is in the clean bounded regime.
     target = Ket(random_unit(rng, 2), (2,))
     tt = np.kron(target.amplitudes, target.amplitudes)
     swap = np.eye(4)[[0, 2, 1, 3]]
@@ -269,31 +287,23 @@ def test_two_copy_analysis_threads_epsilon_to_ceiling(rng):
     omega = projector_on(tt) + 0.8 * (p_sym - projector_on(tt))
     omega = (omega + omega.conj().T) / 2.0
     s2 = Strategy(Operator(omega, (2, 2), hermitian=True), target, copies=2)
-    without = two_copy_analysis(s2)
-    with_eps = two_copy_analysis(s2, epsilon=1e-4)
-    assert abs(without.gamma_star - 0.4) < 1e-10
-    assert without.eps_max is None and without.regime_ambiguous
-    assert with_eps.eps_max is not None and not with_eps.regime_ambiguous
+    analysis = two_copy_analysis(s2)
+    assert abs(analysis.gamma_star - 0.4) < 1e-10
+    ceiling, ambiguous = insurance_ceiling(analysis.gamma_star, analysis.xi_star, 1e-4)
+    assert np.isfinite(ceiling) and not ambiguous
 
 
 def test_two_copy_complexity_anchor_and_guards():
-    analysis = TwoCopyAnalysis(0.0, 0.0, 0.0, UNBOUNDED)
+    analysis = TwoCopyAnalysis(0.0, 0.0, 0.0)
     rep = two_copy_complexity(analysis, 0.1, 1e-3)
-    assert rep.formula_id == "two_copy"
     assert rep.exact_N == pytest.approx(61.913106951097014, rel=1e-12)
     assert rep.approx_N == pytest.approx(69.07755278982137, rel=1e-12)
 
-    bad_local = TwoCopyAnalysis(0.2, 0.8, 0.7, 1e-3)
+    bad_local = TwoCopyAnalysis(0.2, 0.8, 0.7)
     assert not bad_local.local_max_ok
     with pytest.raises(ValueError, match="local-maximum"):
         two_copy_complexity(bad_local, 1e-4, 1e-3)
-    undecided = TwoCopyAnalysis(0.2, 0.5, 0.2, None, True)
-    with pytest.raises(ValueError, match="undecided"):
-        two_copy_complexity(undecided, 1e-4, 1e-3)
-    capped = TwoCopyAnalysis(0.2, 0.5, 0.2, 1e-4)
-    with pytest.raises(ValueError, match="exceeds eps_max"):
-        two_copy_complexity(capped, 1e-3, 1e-3)
-    unit = TwoCopyAnalysis(1.0, 0.0, 0.0, UNBOUNDED)
+    unit = TwoCopyAnalysis(1.0, 0.0, 0.0)
     with pytest.raises(ValueError, match=">= 1"):
         two_copy_complexity(unit, 1e-3, 1e-3)
     with pytest.raises(ValueError, match="not positive"):
@@ -302,7 +312,7 @@ def test_two_copy_complexity_anchor_and_guards():
 
 def test_two_copy_analysis_scalar_consistency_guard():
     with pytest.raises(ValueError, match="outside"):
-        TwoCopyAnalysis(1.5, 0.5, 0.2, None)
+        TwoCopyAnalysis(1.5, 0.5, 0.2)
 
 
 # ---------------------------------------------------------------------
@@ -322,7 +332,7 @@ def exact_count(protocol: str, lam: float, eps: float, delta: float) -> float:
     """exact_N of the single-copy protocol or of a two-copy one whose other scalars vanish."""
     if protocol == "single-copy":
         return single_copy_complexity(lam, eps, delta).exact_N
-    return two_copy_complexity(TwoCopyAnalysis(lam, 0.0, 0.0, UNBOUNDED), eps, delta).exact_N
+    return two_copy_complexity(TwoCopyAnalysis(lam, 0.0, 0.0), eps, delta).exact_N
 
 
 @pytest.mark.parametrize("protocol", ["single-copy", "two-copy"])
@@ -403,10 +413,12 @@ def test_two_copy_report_is_invariant_under_a_unitary_on_each_copy(key):
     gen = np.random.Generator(np.random.Philox(key=key))
     for s in two_copy_subjects():
         rotated = conjugated(s, haar_unitary(gen, s.target.dim))
-        before, after = (two_copy_analysis(x, epsilon=COVARIANCE_EPSILON) for x in (s, rotated))
+        before, after = (two_copy_analysis(x) for x in (s, rotated))
         for name in ("lambda_star", "gamma_star", "xi_star"):
             assert abs(getattr(after, name) - getattr(before, name)) <= 1e-12, name
-        assert after.eps_max == before.eps_max
+        ceilings = [insurance_ceiling(x.gamma_star, x.xi_star, COVARIANCE_EPSILON)
+                    for x in (before, after)]
+        assert ceilings[1] == ceilings[0]
         counts = [two_copy_complexity(x, COVARIANCE_EPSILON, 1e-3) for x in (before, after)]
         assert counts[1].exact_N == pytest.approx(counts[0].exact_N, rel=1e-12)
         assert counts[1].approx_N == pytest.approx(counts[0].approx_N, rel=1e-12)
