@@ -25,10 +25,9 @@ the optimality certificate bounds every two-copy scalar by one Frobenius
 norm, read off the even and odd parity sums of (W psi)^2; apply_omega
 scatters the accept kets in row blocks, in O(4^n) work.
 
-Dense form: construction never builds the dense 4^n x 4^n operator. The
-strategy field builds it on first read and is None in matrix-free mode.
-Construction defaults to matrix-free from n = 5; unit tests and small graphs
-read the dense form.
+Dense form: construction never builds the dense 4^n x 4^n operator, and is
+matrix-free unless a caller asks for the dense form. Then the strategy field
+builds it on first read; it is None in matrix-free mode.
 """
 
 from __future__ import annotations
@@ -41,8 +40,6 @@ import numpy as np
 from .graphs import Graph, graph_state, parity_accept_indices
 from .qcore import Ket, Operator, dense_power, walsh_signs
 from .strategy import Strategy, two_copy_analysis
-
-MATRIX_FREE_DEFAULT_FROM = 5
 
 OPTIMALITY_TOL = 1e-9  # verify_graph_optimality's bound on each scalar and the residual
 
@@ -119,8 +116,8 @@ class GraphStrategy:
     """Two-copy graph strategy for a graph.
 
     ``strategy`` holds the dense accept operator (target graph_state(graph),
-    copies = 2). It is built on first read and kept, and it is None in
-    matrix-free mode (``dense`` false), where the operator is only ever
+    copies = 2) when ``dense`` is set. It is built on first read and kept. It
+    is None in matrix-free mode, the default, where the operator is only ever
     applied through apply_omega or read through _frame_amplitudes.
     """
 
@@ -141,15 +138,13 @@ class GraphStrategy:
         return Strategy(omega, graph_state(g), copies=2)
 
 
-def omega_graph(g: Graph, matrix_free: bool | None = None) -> GraphStrategy:
-    """Build the two-copy graph strategy for g.
+def omega_graph(g: Graph, matrix_free: bool = True) -> GraphStrategy:
+    """Build the two-copy graph strategy for g, matrix-free at every n.
 
-    With matrix_free unset, graphs with n >= 5 skip the dense operator.
-    Requesting dense construction past the representation cap is an error,
-    raised here even though the dense operator is only built on first read.
+    matrix_free=False asks for the dense operator. Asking for it past the
+    representation cap is an error, raised here even though the dense
+    operator is only built on first read.
     """
-    if matrix_free is None:
-        matrix_free = g.n >= MATRIX_FREE_DEFAULT_FROM
     if not matrix_free:
         dense_power(4, g.n, f"dense two-copy operator on {g.n} vertices: side 4^{g.n}")
     return GraphStrategy(g, dense=not matrix_free)

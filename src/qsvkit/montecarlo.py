@@ -137,17 +137,45 @@ def simulate_protocol(
     parity decision passes with the source key's exact chance of a joint Bell
     outcome that the decision accepts. Other strategies need a decomposition;
     per round the decision passes with the key's test-weighted pass chance.
+    Each kind supplies only the pass probability of a key's kets.
     """
+    kets = [k.amplitudes for _, k in cfg.source]
     if isinstance(s, GraphStrategy):
-        passes = _graph_passes(s, cfg)
+        n = s.graph.n
+        pairs = _source_mode(cfg, 1 << n, 2)
+        # A ket with no imaginary part stays real, so its sums run in real arithmetic.
+        kets = [ket.real if not ket.imag.any() else ket for ket in kets]
+        codes = parity_accept_indices(s.graph)
+
+        def rate(*key_kets: np.ndarray) -> float:
+            """sum_x A(x) over the flip strings x."""
+            *left, right = key_kets
+            return float(np.sum(_flip_stage(n, codes, right, *left)))
+
     elif isinstance(s, Strategy):
         if s.decomposition is None:
             raise ValueError(
                 "strategy carries no decomposition and no protocol form; nothing to sample"
             )
-        passes = _decomposition_passes(s, cfg)
+        iid = _source_mode(cfg, s.target.dim, s.copies)
+        if iid and s.copies > 2:
+            raise ValueError(
+                f"i.i.d. sampling supports at most two copies, got {s.copies}; "
+                "provide composite components"
+            )
+        pairs = iid and s.copies == 2
+        weights = np.array([p for p, _ in s.decomposition])
+        tests = [t.entries for _, t in s.decomposition]
+
+        def rate(*key_kets: np.ndarray) -> float:
+            """sum_t w_t p_t over the tests t."""
+            state = np.kron(*key_kets) if pairs else key_kets[0]
+            passing = [float(np.real(state.conj() @ (test @ state))) for test in tests]
+            return float(weights @ np.clip(passing, 0.0, 1.0))
+
     else:
         raise ValueError(f"cannot simulate a {type(s).__name__}")
+    passes = _key_passes(cfg, pairs, kets, rate)
     p_emp = passes / cfg.trials
     stderr = math.sqrt(p_emp * (1.0 - p_emp) / cfg.trials)
     return passes, p_emp, stderr
@@ -180,54 +208,20 @@ def _flip_stage(
     return accepted
 
 
-def _graph_passes(gs: GraphStrategy, cfg: TrialConfig) -> int:
-    n = gs.graph.n
-    iid = _source_mode(cfg, 1 << n, 2)
-    # A ket with no imaginary part stays real, so its sums run in real arithmetic.
-    kets = [k.amplitudes for _, k in cfg.source]
-    kets = [ket.real if not ket.imag.any() else ket for ket in kets]
-    comps = len(kets)
-    codes = parity_accept_indices(gs.graph)
-
-    def build(key: int) -> float:
-        """The key's pass probability, sum_x A(x) over the flip strings x."""
-        pair = (kets[key % comps], kets[key // comps]) if iid else (kets[key],)
-        return float(np.sum(_flip_stage(n, codes, *pair)))
-
-    return _key_passes(cfg, iid, build)
-
-
-def _decomposition_passes(s: Strategy, cfg: TrialConfig) -> int:
-    iid = _source_mode(cfg, s.target.dim, s.copies)
-    if iid and s.copies > 2:
-        raise ValueError(
-            f"i.i.d. sampling supports at most two copies, got {s.copies}; "
-            "provide composite components"
-        )
-    kets = [k.amplitudes for _, k in cfg.source]
-    comps = len(kets)
-    weights = np.array([p for p, _ in s.decomposition])
-    tests = [t.entries for _, t in s.decomposition]
-    pairs = iid and s.copies == 2
-
-    def build(key: int) -> float:
-        """The key's pass probability, sum_t w_t p_t over the tests t."""
-        state = np.kron(kets[key // comps], kets[key % comps]) if pairs else kets[key]
-        passing = [float(np.real(state.conj() @ (test @ state))) for test in tests]
-        return float(weights @ np.clip(passing, 0.0, 1.0))
-
-    return _key_passes(cfg, pairs, build)
-
-
-def _key_passes(cfg: TrialConfig, pairs: bool, build: Callable[[int], float]) -> int:
+def _key_passes(
+    cfg: TrialConfig, pairs: bool, kets: list[np.ndarray], rate: Callable[..., float]
+) -> int:
     """Pass count of the rule both samplers follow.
 
-    The trials are split over the keys by one multinomial draw, then each
-    drawn key adds one binomial draw at build(key), its pass probability, in
-    ascending key order; keys drawn by no trial are never built. Sources of
-    more than _MAX_KEYS keys are refused before any key array is formed.
+    Key a * comps + b of a pair of copies holds kets (kets[a], kets[b]), else
+    key k holds (kets[k],), over the comps source components. The trials are
+    split over the keys by one multinomial draw, then each drawn key adds one
+    binomial draw at rate(*its kets), its pass probability, in ascending key
+    order; keys drawn by no trial are never built. Sources of more than
+    _MAX_KEYS keys are refused before any key array is formed.
     """
-    num_keys = len(cfg.source) ** 2 if pairs else len(cfg.source)
+    comps = len(kets)
+    num_keys = comps**2 if pairs else comps
     if num_keys > _MAX_KEYS:
         raise ValueError(f"source draws {num_keys} keys, over the bound of {_MAX_KEYS} keys")
     weights = np.array([w for w, _ in cfg.source])
@@ -235,10 +229,11 @@ def _key_passes(cfg: TrialConfig, pairs: bool, build: Callable[[int], float]) ->
         weights = np.outer(weights, weights).ravel()
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
     counts = rng.multinomial(cfg.trials, weights / weights.sum())
-    return sum(
-        int(rng.binomial(counts[key], min(max(build(int(key)), 0.0), 1.0)))
-        for key in np.flatnonzero(counts)
-    )
+    passes = 0
+    for key in np.flatnonzero(counts):
+        key_kets = (kets[key // comps], kets[key % comps]) if pairs else (kets[key],)
+        passes += int(rng.binomial(counts[key], min(max(rate(*key_kets), 0.0), 1.0)))
+    return passes
 
 
 def fidelity_experiment(gs: GraphStrategy, ensemble: TrialConfig) -> tuple[float, float]:

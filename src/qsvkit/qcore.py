@@ -17,11 +17,13 @@ Conventions
   matrix-free path is mandatory. dense_power is the one rule for a tensor
   power's size: it refuses one past the cap without forming it.
 - Values are treated as immutable after construction and every operation is a
-  pure function, so everything here is safe to share across workers.
+  pure function.
+- Tensor sizes are exact integer products, so no product of dims wraps.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -57,7 +59,7 @@ class Ket:
         self.dims = tuple(int(d) for d in self.dims)
         if not self.dims or any(d <= 0 for d in self.dims):
             raise ValueError(f"local dimensions must be positive: {self.dims}")
-        expected = int(np.prod(self.dims))
+        expected = math.prod(self.dims)
         if self.amplitudes.size != expected:
             raise ValueError(
                 f"amplitude length {self.amplitudes.size} does not match dims {self.dims}"
@@ -89,7 +91,7 @@ class Operator:
         self.dims = tuple(int(d) for d in self.dims)
         if not self.dims or any(d <= 0 for d in self.dims):
             raise ValueError(f"local dimensions must be positive: {self.dims}")
-        side = int(np.prod(self.dims))
+        side = math.prod(self.dims)
         if self.entries.shape != (side, side):
             raise ValueError(
                 f"entries shape {self.entries.shape} does not match dims {self.dims}"

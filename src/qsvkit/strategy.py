@@ -159,8 +159,8 @@ class KrausChannel:
     def __post_init__(self) -> None:
         self.in_dims = tuple(int(d) for d in self.in_dims)
         self.out_dims = tuple(int(d) for d in self.out_dims)
-        din = int(np.prod(self.in_dims))
-        dout = int(np.prod(self.out_dims))
+        din = math.prod(self.in_dims)
+        dout = math.prod(self.out_dims)
         if not self.kraus_ops:
             raise ValueError("channel needs at least one Kraus operator")
         self.kraus_ops = [np.asarray(m, dtype=complex) for m in self.kraus_ops]
@@ -336,7 +336,7 @@ def strategy_from_channel(ch: KrausChannel, target: Ket) -> Strategy:
     operator is sum_i M_i^dag |0..0><0..0| M_i, and the result is verified to
     fix the target product state.
     """
-    din = int(np.prod(ch.in_dims))
+    din = math.prod(ch.in_dims)
     copies = _infer_copies(target.dim, din)
     tvec = _target_power(target, copies)
     for idx, m in enumerate(ch.kraus_ops):
@@ -475,7 +475,7 @@ def strategy_from_json(data: dict) -> Strategy:
 
 def _encode_complex(values: np.ndarray) -> list[list[float]]:
     flat = np.asarray(values, dtype=complex).reshape(-1)
-    return [[float(z.real), float(z.imag)] for z in flat]
+    return np.column_stack((flat.real, flat.imag)).tolist()
 
 
 def _decode_complex(pairs) -> np.ndarray:

@@ -1,8 +1,16 @@
-"""Exhaustive enumeration of labeled connected graphs for sweep tests."""
+"""Graphs the tests share: fixed small graphs, rings, and every labeled connected graph."""
 
 from itertools import combinations
 
 from qsvkit.graphs import Graph
+
+PATH2 = Graph(2, [(1, 2)])
+TRIANGLE = Graph(3, [(1, 2), (2, 3), (1, 3)])
+
+
+def ring(n: int) -> Graph:
+    """The cycle on n vertices; the path for n <= 2."""
+    return Graph(n, [(i, i + 1) for i in range(1, n)] + ([(1, n)] if n >= 3 else []))
 
 
 def _connected(n: int, edges) -> bool:

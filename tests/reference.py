@@ -7,9 +7,8 @@ pair order bit by bit, regrouped tensor powers by listing every product, the
 MUB strategy's tests as sums of Kronecker products one basis vector at a time,
 the worst-case oracle's search one run and one sphere problem at a time, the
 graph certificate and pass probability over every accept-ket entry, the
-parity code table as one matrix product over every bit string, the
-two-copy Bell-outcome table as one dense Hadamard product, and the sampler's
-step lookup table by counting ticks into buckets.
+parity code table as one matrix product over every bit string, and the
+two-copy Bell-outcome table as one dense Hadamard product.
 Tests check the package against these, and these on hand examples.
 """
 

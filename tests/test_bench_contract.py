@@ -47,7 +47,7 @@ def test_every_traced_target_is_defined(monkeypatch):
 def test_the_tracer_reads_fields_the_records_still_have(monkeypatch):
     # Only traced runs call _facts, so a renamed record field breaks them alone.
     facts = load_tracer(monkeypatch)._facts
-    gs = omega_graph(Graph(2, [(1, 2)]))
+    gs = omega_graph(Graph(2, [(1, 2)]), matrix_free=False)
     cfg = TrialConfig(1, 0, graph_state(gs.graph))
     args = (gs, cfg)
     assert facts("montecarlo.simulate_protocol", args, simulate_protocol(*args)) == {"trials": 1}

@@ -11,7 +11,8 @@ import sys
 import numpy as np
 import pytest
 
-from qsvkit import cli, montecarlo
+from graphgen import connected_graphs
+from qsvkit import cli, graph_strategy, montecarlo
 from qsvkit.cli import main, parse_theta_grid
 from qsvkit.graph_strategy import graph_pass_probability, omega_graph
 from qsvkit.graphs import Graph, graph_state
@@ -127,6 +128,20 @@ def test_analyze_graph_report(tmp_path, capsys):
     assert report["eps_max"] == "unbounded"
     assert report["approx_N"] == float(f"{math.log(1e3) / 1e-3:.10g}")
     assert report["exact_N"] == float(f"{2.0 * math.log(1e-3) / math.log1p(-2e-3):.10g}")
+
+
+def test_analyze_graph_builds_no_operator_up_to_three_vertices(tmp_path, capsys, monkeypatch):
+    # Every graph is certified matrix-free, so small graphs print the
+    # certificate's exact zeros rather than an eigensolve's rounding.
+    real_strategy, built = graph_strategy.Strategy, []
+    monkeypatch.setattr(graph_strategy, "Strategy", lambda *a, **k: built.append(a) or real_strategy(*a, **k))
+    subjects = [g for n in (1, 2, 3) for g in connected_graphs(n)]
+    for g in subjects:
+        text = f"n {g.n}\n" + "".join(f"{u} {v}\n" for u, v in g.edges)
+        code, report = run_json(capsys, ["analyze", "--graph", write_graph(tmp_path, text)])
+        assert code == 0
+        assert [report[key] for key in ("lambda_star", "gamma_star", "xi_star")] == [0.0] * 3
+    assert len(subjects) == 6 and built == []
 
 
 def test_analyze_single_copy_strategy(tmp_path, capsys):

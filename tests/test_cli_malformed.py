@@ -17,7 +17,7 @@ import tempfile
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qsvkit.cli import MAX_THETA_STEPS, main
@@ -166,7 +166,13 @@ def malformed_strategy_docs(draw) -> dict:
     return doc
 
 
+# Dims whose product, 4 * (2**62 + 1), wraps in int64 to 4, the Bell target's length.
+WRAPPED_DIMS_DOC = dict(BELL_DOC, dims=[4, 4611686018427387905])
+
+
 @given(doc=malformed_strategy_docs(), command=st.sampled_from(["analyze", "simulate"]))
+@example(doc=WRAPPED_DIMS_DOC, command="analyze")
+@example(doc=WRAPPED_DIMS_DOC, command="simulate")
 @settings(max_examples=200, deadline=None)
 def test_malformed_strategy_files_exit_2_with_one_line(doc, command):
     run_on_file(json.dumps(doc), [command, "--strategy"])

@@ -8,10 +8,9 @@ import numpy as np
 import pytest
 
 from conftest import random_unit, traced_peak_mib
-from graphgen import connected_graphs
+from graphgen import PATH2, TRIANGLE, connected_graphs, ring
 from qsvkit import graph_strategy, graphs
 from qsvkit.graph_strategy import (
-    MATRIX_FREE_DEFAULT_FROM,
     _frobenius_certificate,
     apply_omega,
     fidelity_from_passrate,
@@ -32,15 +31,8 @@ from reference import (
 )
 
 
-PATH2 = Graph(2, [(1, 2)])
-TRIANGLE = Graph(3, [(1, 2), (2, 3), (1, 3)])
 STAR4 = Graph(4, [(1, 2), (1, 3), (1, 4)])
 CYCLE5 = Graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
-
-
-def ring(n: int) -> Graph:
-    """The cycle on n vertices; the path for n <= 2."""
-    return Graph(n, [(i, i + 1) for i in range(1, n)] + ([(1, n)] if n >= 3 else []))
 
 
 def star(n: int) -> Graph:
@@ -104,8 +96,9 @@ def test_omega_graph_is_a_sum_of_local_bell_projectors():
 
 
 def test_omega_graph_defaults_to_matrix_free_at_threshold():
-    assert omega_graph(Graph(MATRIX_FREE_DEFAULT_FROM)).strategy is None
-    assert omega_graph(Graph(MATRIX_FREE_DEFAULT_FROM - 1)).strategy is not None
+    # Matrix-free at every n: a dense operator is built only when asked for.
+    for n in range(1, 8):
+        assert omega_graph(Graph(n)).strategy is None
     dense5 = omega_graph(CYCLE5, matrix_free=False)
     assert dense5.strategy is not None
     with pytest.raises(ValueError, match="cap"):  # raised before any dense build

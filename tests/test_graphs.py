@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_unit, traced_peak_mib
-from graphgen import connected_graphs
+from graphgen import PATH2, TRIANGLE, connected_graphs, ring
 from qsvkit import graphs
 from qsvkit.graphs import (
     Graph,
@@ -22,10 +22,6 @@ from qsvkit.graphs import (
 )
 from qsvkit.qcore import HADAMARD, Ket, PAULI_X, PAULI_Z, bell_ket
 from reference import edge_product_signs, interleaved_permutation, parity_code, parity_code_table
-
-
-PATH2 = Graph(2, [(1, 2)])
-TRIANGLE = Graph(3, [(1, 2), (2, 3), (1, 3)])
 
 
 # ---------------------------------------------------------------------
@@ -98,11 +94,6 @@ def test_parity_code_is_linear(data):
         for x, y in zip(parity_code(g, code1).bits, parity_code(g, code2).bits)
     )
     assert lhs == rhs
-
-
-def ring(n: int) -> Graph:
-    """Cycle on n vertices; one edge at n = 2, none at n = 1."""
-    return Graph(n, [(i, i % n + 1) for i in range(1, n + 1)] if n > 2 else [(1, 2)][: n - 1])
 
 
 def test_parity_accept_indices_equal_the_bit_table_product():

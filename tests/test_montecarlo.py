@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import random_unit, traced_peak_mib
+from graphgen import PATH2, TRIANGLE, ring
 from qsvkit import montecarlo, strategy
 from qsvkit.ghz import mub_strategy_d4
 from qsvkit.graph_strategy import GraphStrategy, graph_pass_probability, omega_graph
@@ -30,10 +31,6 @@ from reference import (
     sphere_max,
     worst_case_search,
 )
-
-
-PATH2 = Graph(2, [(1, 2)])
-TRIANGLE = Graph(3, [(1, 2), (2, 3), (1, 3)])
 
 
 def graph_mix(g: Graph, weight: float) -> list[tuple[float, Ket]]:
@@ -273,14 +270,6 @@ def test_decomposition_guards(rng):
 # Pinned pass counts, the run's draws and bounded memory
 # ---------------------------------------------------------------------
 
-def ring(n: int) -> Graph:
-    if n == 1:
-        return Graph(1)
-    if n == 2:
-        return PATH2
-    return Graph(n, [(i, i + 1) for i in range(1, n)] + [(1, n)])
-
-
 def closed_form_ket(dim: int, phase: float) -> np.ndarray:
     """A fixed dense unit vector, free of any random generator."""
     k = np.arange(dim)
@@ -387,6 +376,7 @@ def pinned_rate(name: str) -> float:
 # test_pinned_counts_lie_within_five_sigma_of_the_exact_rate backs them all, and
 # test_pass_counts_are_unbiased_over_seeds backs the rule; neither depends on
 # the numpy version.
+PINNED_NUMPY = "2.4.6"
 PINNED_PASSES = {
     "ring1-1": 1,
     "ring1-65537": 60405,
@@ -414,7 +404,10 @@ PINNED_PASSES = {
 
 @pytest.mark.parametrize("name", sorted(PINNED_PASSES))
 def test_pass_counts_match_the_pinned_counts(name):
-    assert pinned_run(name)[0] == PINNED_PASSES[name]
+    assert pinned_run(name)[0] == PINNED_PASSES[name], (
+        f"pinned under numpy {PINNED_NUMPY}, run under numpy {np.__version__}; "
+        "under another numpy a moved count may be pin drift (see PINNED_PASSES)"
+    )
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_PASSES))
@@ -556,8 +549,8 @@ def test_sources_with_more_key_rows_than_the_bound_are_refused_before_any_is_bui
         outers.append(len(a))
         return outer(a, b, out)
 
-    def recording_builds(cfg, pairs, build):
-        return key_passes(cfg, pairs, lambda key: built.append(key) or build(key))
+    def recording_builds(cfg, pairs, kets, rate):
+        return key_passes(cfg, pairs, kets, lambda *key: built.append(key) or rate(*key))
 
     monkeypatch.setattr(np, "outer", recording_outer)
     monkeypatch.setattr(montecarlo, "_key_passes", recording_builds)

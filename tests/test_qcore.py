@@ -37,6 +37,8 @@ def test_ket_validates_norm_and_dims():
         Ket(np.array([1.0, 0.0, 0.0]), (2,))
     with pytest.raises(ValueError, match="positive"):
         Ket(np.array([1.0]), (0,))
+    with pytest.raises(ValueError, match="dims"):  # 4 * (2**62 + 1) wraps to 4 in int64
+        Ket(np.eye(4)[0], (4, 2**62 + 1))
 
 
 def test_ket_dim_is_product_of_dims():
@@ -49,6 +51,8 @@ def test_operator_validates_shape_cap_and_tag():
     Operator(np.eye(4), (2, 2), hermitian=True)
     with pytest.raises(ValueError, match="shape"):
         Operator(np.eye(3), (2, 2))
+    with pytest.raises(ValueError, match="shape"):  # 4 * (2**62 + 1) wraps to 4 in int64
+        Operator(np.eye(4), (4, 2**62 + 1))
     side = DENSE_DIM_CAP + 1
     big = np.zeros((side, side), dtype=complex)  # zero pages, no physical cost
     with pytest.raises(ValueError, match="cap"):

@@ -1,5 +1,6 @@
 """Strategy construction, spectral scalars, sample counts, channels, JSON."""
 
+import json
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from qsvkit.strategy import (
     KrausChannel,
     Strategy,
     TwoCopyAnalysis,
+    _encode_complex,
     insurance_ceiling,
     lambda2,
     reference_bell_artifacts,
@@ -483,6 +485,31 @@ def test_strategy_json_round_trip_without_decomposition(rng):
     back = strategy_from_json(strategy_to_json(s))
     assert back.decomposition is None
     assert np.max(np.abs(back.omega.entries - s.omega.entries)) < 1e-15
+
+
+def literal_pairs(values) -> list[list[float]]:
+    return [[float(z.real), float(z.imag)] for z in np.asarray(values, dtype=complex).reshape(-1)]
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: reference_bell_artifacts()[0], lambda: mub_strategy_d4(0.3)], ids=["bell", "mub-d4"]
+)
+def test_strategy_json_bytes_are_the_entry_pairs_and_survive_a_round_trip(make):
+    # One [re, im] pair of Python floats per entry, so the bytes match the
+    # entry-by-entry encoding and a decoded strategy re-encodes to them.
+    s = make()
+    text = json.dumps(strategy_to_json(s))
+    literal = {
+        "dims": list(s.target.dims),
+        "copies": s.copies,
+        "target": literal_pairs(s.target.amplitudes),
+        "omega": literal_pairs(s.omega.entries),
+        "decomposition": [{"p": float(p), "T": literal_pairs(t.entries)} for p, t in s.decomposition],
+    }
+    assert text == json.dumps(literal)
+    assert json.dumps(strategy_to_json(strategy_from_json(json.loads(text)))) == text
+    edge = np.array([-0.0, 5e-324, 1e308 - 1e292j, -1.0j, 0.1 + 0.2j])
+    assert json.dumps(_encode_complex(edge)) == json.dumps(literal_pairs(edge))
 
 
 def test_strategy_json_malformed_payloads():
