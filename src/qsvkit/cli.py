@@ -16,8 +16,8 @@ check, so a rejected flag exits before numpy loads.
 All numeric output is serialized with 10 significant digits and a trailing
 newline, independent of locale. Infinite quantities appear as the string
 "unbounded" in JSON and as "inf" in CSV. Exit codes: 0 on success, 2 on
-input or validation problems, 3 when the two-copy pass-bound hypotheses
-fail (the report is still written in that case).
+input or validation problems (argparse's too, each one "error:" line), 3 when
+the two-copy pass-bound hypotheses fail (the report is still written then).
 """
 
 from __future__ import annotations
@@ -68,8 +68,15 @@ def parse_theta_grid(text: str) -> tuple[float, float, int]:
         raise ValueError(f"theta grid must be 'A:B:N' with numbers, got {text!r}") from None
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises its refusals as ValueError, so main prints each as one error line."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qsvkit",
         description="Analyze and simulate quantum state-verification strategies.",
     )
@@ -234,14 +241,12 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
         }
         _emit_report(report, ns)
         return EXIT_OK
-    if s.copies == 2:
-        try:
-            analysis = two_copy_analysis(s)
-        except ValueError as exc:
-            _emit_report({"hypothesis_failure": str(exc)}, ns)
-            return EXIT_PRECONDITION
-        return _two_copy_report(analysis, ns)
-    raise ValueError(f"analysis supports 1 or 2 copies, got {s.copies}")
+    try:
+        analysis = two_copy_analysis(s)
+    except ValueError as exc:
+        _emit_report({"hypothesis_failure": str(exc)}, ns)
+        return EXIT_PRECONDITION
+    return _two_copy_report(analysis, ns)
 
 
 def _two_copy_report(analysis: TwoCopyAnalysis, ns: argparse.Namespace) -> int:
@@ -276,7 +281,7 @@ def _load_strategy(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: arrays nested too deep
         raise ValueError(f"strategy file {path}: {exc}") from None
     try:
         return strategy_from_json(data)
@@ -361,9 +366,8 @@ _DISPATCH = {"analyze": cmd_analyze, "curves": cmd_curves, "simulate": cmd_simul
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
     try:
+        ns = build_parser().parse_args(argv)
         _check_args(ns)
         return _DISPATCH[ns.command](ns)
     except (ValueError, OSError) as exc:

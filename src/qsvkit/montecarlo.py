@@ -20,8 +20,8 @@ the parity decision accepts.
 
 Source descriptors are a single ket or a weighted list of kets. Components
 living on a single copy of the target space are drawn independently for each
-stored copy (an i.i.d. source); components living on the full multi-copy
-space are drawn once per round and model fakes correlated across copies.
+stored copy (an i.i.d. source); components living on the two-copy space
+are drawn once per round and model fakes correlated across copies.
 
 The worst-case oracle maximizes the pass probability over product fakes
 sqrt(1 - e) psi + sqrt(e) perp by sweeping both infidelities over a
@@ -110,16 +110,14 @@ class TrialConfig:
             raise ValueError(f"component weights sum to {total}, not 1")
 
 
-def _source_mode(cfg: TrialConfig, single_dim: int, copies: int) -> bool:
-    """True when components are single-copy (i.i.d. per copy), else composite."""
+def _source_mode(cfg: TrialConfig, single_dim: int, full_dim: int) -> bool:
+    """True when components are single-copy (i.i.d. per copy), False when they span full_dim."""
     dim = cfg.source[0][1].dim
-    if dim == single_dim:
-        return True
-    if dim == single_dim**copies and copies > 1:
-        return False
+    if dim in (single_dim, full_dim):
+        return dim == single_dim
     raise ValueError(
         f"source components of dim {dim} fit neither one copy ({single_dim}) "
-        f"nor the full {copies}-copy space ({single_dim ** copies})"
+        f"nor the strategy's full space ({full_dim})"
     )
 
 
@@ -142,7 +140,7 @@ def simulate_protocol(
     kets = [k.amplitudes for _, k in cfg.source]
     if isinstance(s, GraphStrategy):
         n = s.graph.n
-        pairs = _source_mode(cfg, 1 << n, 2)
+        pairs = _source_mode(cfg, 1 << n, 1 << 2 * n)
         # A ket with no imaginary part stays real, so its sums run in real arithmetic.
         kets = [ket.real if not ket.imag.any() else ket for ket in kets]
         codes = parity_accept_indices(s.graph)
@@ -157,13 +155,7 @@ def simulate_protocol(
             raise ValueError(
                 "strategy carries no decomposition and no protocol form; nothing to sample"
             )
-        iid = _source_mode(cfg, s.target.dim, s.copies)
-        if iid and s.copies > 2:
-            raise ValueError(
-                f"i.i.d. sampling supports at most two copies, got {s.copies}; "
-                "provide composite components"
-            )
-        pairs = iid and s.copies == 2
+        pairs = _source_mode(cfg, s.target.dim, s.omega.dim) and s.copies == 2
         weights = np.array([p for p, _ in s.decomposition])
         tests = [t.entries for _, t in s.decomposition]
 
@@ -244,7 +236,7 @@ def fidelity_experiment(gs: GraphStrategy, ensemble: TrialConfig) -> tuple[float
     with the graph state (source_fidelity).
     """
     d = 1 << gs.graph.n
-    if not _source_mode(ensemble, d, 2):
+    if not _source_mode(ensemble, d, d * d):
         raise ValueError("fidelity estimation needs an i.i.d. single-copy source")
     _, p_emp, _ = simulate_protocol(gs, ensemble)
     return fidelity_from_passrate(p_emp), source_fidelity(graph_state(gs.graph), ensemble)

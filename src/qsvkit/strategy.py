@@ -44,7 +44,6 @@ from .qcore import (
     Ket,
     Operator,
     bell_ket,
-    dense_power,
 )
 
 UNBOUNDED = float("inf")
@@ -60,13 +59,14 @@ STRUCT_TOL = 1e-10
 class Strategy:
     """Accept operator with its target state and copy count.
 
-    ``omega`` acts on ``copies`` tensor copies of the target space and must
-    carry the hermitian tag and fix target^(x copies). When a decomposition
-    is given it must consist of probabilities summing to 1 and projective
-    tests recombining to omega within 1e-10. Positivity of omega and the
-    upper bound omega <= I are part of the contract but are not
-    eigendecomposed at construction time (they are covered by spectrum
-    checks in the test suite); construction is O(tests * dim^3), one T T per test.
+    ``copies`` is the int 1 or 2, two copies at most; ``omega`` acts on that
+    many copies of the target space and must carry the hermitian tag and fix
+    target^(x copies). When a decomposition is given it must consist of
+    probabilities summing to 1 and projective tests recombining to omega
+    within 1e-10. Positivity of omega and the upper bound omega <= I are part
+    of the contract but are not eigendecomposed at construction time (they
+    are covered by spectrum checks in the test suite); construction is
+    O(tests * dim^3), one T T per test.
     """
 
     omega: Operator
@@ -75,12 +75,10 @@ class Strategy:
     decomposition: list[tuple[float, Operator]] | None = None
 
     def __post_init__(self) -> None:
-        if self.copies < 1:
-            raise ValueError(f"copy count must be at least 1: {self.copies}")
+        _copy_count(self.copies)
         if not self.omega.hermitian:
             raise ValueError("strategy operator must be tagged hermitian")
-        expected = self.target.dim ** self.copies
-        if self.omega.dim != expected:
+        if self.omega.dim != _side(self.target.dim, self.copies):
             raise ValueError(
                 f"operator side {self.omega.dim} does not match "
                 f"target dim {self.target.dim} with {self.copies} copies"
@@ -111,12 +109,22 @@ class Strategy:
                 raise ValueError(f"decomposition does not recombine to omega: deviation {mix_dev:.3e}")
 
 
+def _copy_count(copies) -> int:
+    """Return copies if it is the int 1 or 2, a bool refused: the one rule on a copy count."""
+    if type(copies) is not int or copies not in (1, 2):
+        raise ValueError(f"copy count must be 1 or 2: copies = {copies!r}")
+    return copies
+
+
+def _side(dim: int, copies: int) -> int:
+    """Side of an operator on one or two copies of a dimension-dim space."""
+    return dim if copies == 1 else dim * dim
+
+
 def _target_power(target: Ket, copies: int) -> np.ndarray:
-    """Amplitudes of target^(x copies)."""
+    """Amplitudes of the target on one copy or of target (x) target on two."""
     vec = target.amplitudes
-    for _ in range(copies - 1):
-        vec = np.kron(vec, target.amplitudes)
-    return vec
+    return vec if copies == 1 else np.kron(vec, vec)
 
 
 @dataclass
@@ -333,11 +341,13 @@ def strategy_from_channel(ch: KrausChannel, target: Ket) -> Strategy:
 
     Every Kraus operator must map the target to a multiple of the all-zeros
     output ket (checked; the first offending index is reported). The accept
-    operator is sum_i M_i^dag |0..0><0..0| M_i, and the result is verified to
-    fix the target product state.
+    operator is sum_i M_i^dag |0..0><0..0| M_i on the channel's input, one or
+    two copies of the target space, and it is verified to fix the target.
     """
     din = math.prod(ch.in_dims)
-    copies = _infer_copies(target.dim, din)
+    copies = 1 if din == target.dim else 2
+    if din != _side(target.dim, copies):
+        raise ValueError(f"channel input dim {din} is not target dim {target.dim} or its tensor power")
     tvec = _target_power(target, copies)
     for idx, m in enumerate(ch.kraus_ops):
         image = m @ tvec
@@ -351,21 +361,8 @@ def strategy_from_channel(ch: KrausChannel, target: Ket) -> Strategy:
     stack = np.stack([m.conj().T[:, 0] for m in ch.kraus_ops], axis=1)
     omega = stack @ stack.conj().T
     omega = (omega + omega.conj().T) / 2.0
-    dims = ch.in_dims if copies == 1 else (target.dim,) * copies
+    dims = ch.in_dims if copies == 1 else (target.dim, target.dim)
     return Strategy(Operator(omega, dims, hermitian=True), target, copies=copies)
-
-
-def _infer_copies(target_dim: int, channel_dim: int) -> int:
-    copies = 1
-    size = target_dim
-    while size < channel_dim:
-        size *= target_dim
-        copies += 1
-    if size != channel_dim:
-        raise ValueError(
-            f"channel input dim {channel_dim} is not a tensor power of target dim {target_dim}"
-        )
-    return copies
 
 
 def reference_bell_artifacts() -> tuple[Strategy, KrausChannel]:
@@ -441,21 +438,22 @@ def strategy_to_json(s: Strategy) -> dict:
 def strategy_from_json(data: dict) -> Strategy:
     """Rebuild a strategy from its JSON dict form.
 
-    Expected keys: dims (single-copy subsystem dims), copies, target and
-    omega as [re, im] pair lists (omega row-major over the full multi-copy
-    space), and optionally decomposition as a list of {p, T} entries.
-    Omega's spectrum must lie in [0, 1] within STRUCT_TOL.
+    Expected keys: copies (1 or 2, two copies at most) and dims (single-copy
+    subsystem dims) as JSON integers, target and omega as [re, im] pair lists
+    of JSON numbers (omega row-major over the one- or two-copy space), and
+    optionally decomposition as a list of {p, T} entries, p a JSON number; no
+    bool or string is cast. Omega's spectrum must lie in [0, 1] within STRUCT_TOL.
     """
-    dims = tuple(int(d) for d in data["dims"])
-    copies = int(data["copies"])
-    if copies < 1:
-        raise ValueError(f"copies = {copies} is not positive")
+    copies = _copy_count(data["copies"])
+    dims = tuple(data["dims"])
+    if not set(map(type, dims)) <= {int}:
+        raise ValueError(f"dims {list(dims)!r} hold a value that is not an integer")
     target = Ket(_decode_complex(data["target"]), dims)
-    side = dense_power(target.dim, copies, f"copies = {copies} of a dimension-{target.dim} target")
+    side = _side(target.dim, copies)
     omega_vec = _decode_complex(data["omega"])
     if omega_vec.size != side * side:
         raise ValueError(f"omega has {omega_vec.size} entries, expected {side * side}")
-    op_dims = dims if copies == 1 else (target.dim,) * copies
+    op_dims = dims if copies == 1 else (target.dim, target.dim)
     omega = Operator(omega_vec.reshape(side, side), op_dims, hermitian=True)
     for value in np.linalg.eigvalsh(omega.entries)[[0, -1]]:
         if not -STRUCT_TOL <= value <= 1.0 + STRUCT_TOL:
@@ -467,6 +465,8 @@ def strategy_from_json(data: dict) -> Strategy:
             tvec = _decode_complex(entry["T"])
             if tvec.size != side * side:
                 raise ValueError(f"test has {tvec.size} entries, expected {side * side}")
+            if type(entry["p"]) not in (int, float):
+                raise ValueError(f"test probability {entry['p']!r} is not a number")
             decomposition.append(
                 (float(entry["p"]), Operator(tvec.reshape(side, side), op_dims, hermitian=True))
             )
@@ -482,6 +482,9 @@ def _decode_complex(pairs) -> np.ndarray:
     arr = np.asarray(pairs, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("complex payload must be a list of [re, im] pairs")
+    # The float cast above accepts bools and numeric strings; JSON numbers parse to int or float.
+    if not {type(v) for pair in pairs for v in pair} <= {int, float}:
+        raise ValueError("complex payload has entries that are not numbers")
     if not np.isfinite(arr).all():
         raise ValueError("complex payload has non-finite entries")
     return arr[:, 0] + 1.0j * arr[:, 1]

@@ -12,13 +12,13 @@ import time
 import numpy as np
 import pytest
 
-from graphgen import connected_graphs
+from graphgen import connected_graphs, graph_mix, iid_pair_rate
 from qsvkit.cli import main
 from qsvkit.ghz import GhzSpec, mub_strategy_d4, n_de_k
-from qsvkit.graph_strategy import graph_pass_probability, omega_graph, verify_graph_optimality
-from qsvkit.graphs import Graph, check_disentangled_equations, graph_state
+from qsvkit.graph_strategy import omega_graph, verify_graph_optimality
+from qsvkit.graphs import Graph, check_disentangled_equations
 from qsvkit.montecarlo import TrialConfig, fidelity_experiment, simulate_protocol, worst_case_oracle
-from qsvkit.qcore import Ket, Operator, bell_ket, orthonormal_complement
+from qsvkit.qcore import Ket, Operator, bell_ket
 from qsvkit.strategy import (
     Strategy,
     lambda2,
@@ -37,12 +37,6 @@ def random_strategy_on_two_qubits(rng: np.random.Generator) -> Strategy:
     omega = (omega + omega.conj().T) / 2.0
     target = Ket(basis[:, 0], (2, 2))
     return Strategy(Operator(omega, (2, 2), hermitian=True), target)
-
-
-def graph_ensemble(g: Graph, weight: float, direction: int = 0) -> list[tuple[float, Ket]]:
-    target = graph_state(g)
-    perp = orthonormal_complement(target)[:, direction]
-    return [(weight, target), (1.0 - weight, Ket(perp, target.dims))]
 
 
 def test_criterion_01_graph_strategies_have_vanishing_two_copy_scalars():
@@ -184,12 +178,8 @@ def test_criterion_09_sampler_tracks_exact_rates_reproducibly():
     configs = []
     for g, seed in ((path2, 901), (triangle, 902), (star4, 903)):
         gs = omega_graph(g, matrix_free=False)
-        mix = graph_ensemble(g, 0.9)
-        exact = sum(
-            wa * wb * graph_pass_probability(gs, ka, kb)[0]
-            for wa, ka in mix
-            for wb, kb in mix
-        )
+        mix = graph_mix(g, 0.9)
+        exact = iid_pair_rate(gs, mix)
         configs.append((gs, TrialConfig(trials, seed, mix), exact))
 
     plm_mix = [(0.85, bell_ket(0, 0)), (0.15, bell_ket(1, 1))]
@@ -222,9 +212,9 @@ def test_criterion_10_fidelity_estimate_recovers_mixture_weight():
     trials = 1000000
     g = Graph(2, [(1, 2)])
     gs = omega_graph(g, matrix_free=False)
-    cfg = TrialConfig(trials, 2024, graph_ensemble(g, f_target))
+    cfg = TrialConfig(trials, 2024, graph_mix(g, f_target))
     f_hat, f_true = fidelity_experiment(gs, cfg)
     assert f_true == pytest.approx(f_target, abs=1e-12)
-    _, p_emp, stderr = simulate_protocol(gs, TrialConfig(trials, 2024, graph_ensemble(g, f_target)))
+    _, p_emp, stderr = simulate_protocol(gs, TrialConfig(trials, 2024, graph_mix(g, f_target)))
     propagated = stderr / (2.0 * math.sqrt(p_emp))
     assert abs(f_hat - f_target) <= max(3.0 * propagated, 2.5e-5)

@@ -11,10 +11,10 @@ import sys
 import numpy as np
 import pytest
 
-from graphgen import connected_graphs
+from graphgen import connected_graphs, iid_pair_rate
 from qsvkit import cli, graph_strategy, montecarlo
 from qsvkit.cli import main, parse_theta_grid
-from qsvkit.graph_strategy import graph_pass_probability, omega_graph
+from qsvkit.graph_strategy import omega_graph
 from qsvkit.graphs import Graph, graph_state
 from qsvkit.qcore import Ket, Operator, first_complement_vector
 from qsvkit.strategy import Strategy, reference_bell_artifacts, strategy_to_json
@@ -70,6 +70,8 @@ GRAPH_FLAG = "--graph={graph}"
         pytest.param(["simulate", GRAPH_FLAG, "--seed", "-3"], "seed", id="seed-negative"),
         pytest.param(["simulate", GRAPH_FLAG, "--seed", str(2**64)], "seed", id="seed-wide"),
         pytest.param(["simulate", GRAPH_FLAG, "--trials", "0"], "trials", id="trials"),
+        pytest.param(["simulate", GRAPH_FLAG, "--trials", "abc"], "--trials", id="trials-not-int"),
+        pytest.param(["analyze", GRAPH_FLAG, "--epsilon", "x"], "--epsilon", id="epsilon-not-float"),
         pytest.param(["analyze"], "--graph", id="no-input"),
         pytest.param(["simulate", GRAPH_FLAG, "--strategy={graph}"], "--strategy", id="both-inputs"),
     ],
@@ -101,10 +103,10 @@ def test_the_first_flag_defect_is_the_one_reported(capsys, argv, first):
 
 
 @pytest.mark.parametrize("argv", [["analyze", "--format", "yaml"], ["solve"]])
-def test_unknown_format_or_command_exits_via_argparse(argv):
-    with pytest.raises(SystemExit) as info:
-        main(argv)
-    assert info.value.code == 2
+def test_unknown_format_or_command_exits_via_argparse(capsys, argv):
+    assert main(argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 def test_parse_theta_grid():
@@ -268,21 +270,30 @@ def test_strategy_file_over_the_size_bound_exits_2_before_parsing(tmp_path, caps
     assert f"{size + 1} bytes, over the {size}-byte bound" in err
 
 
-@pytest.mark.parametrize("copies", [0, -1, 7, 40, 10**7, "trivial"])
+@pytest.mark.parametrize("copies", [0, -1, 3, 7, 40, 10**7, 1.9, True, "trivial"])
 def test_strategy_copies_out_of_range_exit_2_naming_copies(tmp_path, capsys, copies):
     # 10^7 copies must be refused before dim ** copies is ever computed, also
-    # for a dimension-1 target, whose side never grows.
+    # for a dimension-1 target, whose side never grows. Three copies come with
+    # an omega of the matching side: the projector onto |000>, also its one test.
     if copies == "trivial":
         doc = {"dims": [1], "copies": 10**7, "target": [[1.0, 0.0]], "omega": [[1.0, 0.0]]}
+    elif copies == 3:
+        projector = [[float(i == j == 0), 0.0] for i in range(8) for j in range(8)]
+        doc = {"dims": [2], "copies": 3, "target": [[1.0, 0.0], [0.0, 0.0]], "omega": projector,
+               "decomposition": [{"p": 1.0, "T": projector}]}
     else:
         doc = strategy_to_json(reference_bell_artifacts()[0])
         doc["copies"] = copies
     path = tmp_path / "strategy.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    assert main(["analyze", "--strategy", str(path)]) == 2
-    lines = capsys.readouterr().err.splitlines()
+    refusals = []
+    for command in ("analyze", "simulate"):
+        assert main([command, "--strategy", str(path)]) == 2
+        refusals.append(capsys.readouterr().err.splitlines())
+    lines = refusals[0]
     assert len(lines) == 1
     assert "copies" in lines[0] and "Traceback" not in lines[0]
+    assert refusals[1] == lines
 
 
 @pytest.mark.parametrize("command", ["analyze", "simulate"])
@@ -295,10 +306,10 @@ def test_oversized_graph_exits_with_cap_message(tmp_path, capsys, command, n):
     assert "cap" in lines[0] and "Traceback" not in lines[0]
 
 
-def test_unknown_figure_flag_exits_via_argparse():
-    with pytest.raises(SystemExit) as info:
-        main(["curves", "--figure", "fig9"])
-    assert info.value.code == 2
+def test_unknown_figure_flag_exits_via_argparse(capsys):
+    assert main(["curves", "--figure", "fig9"]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 # ---------------------------------------------------------------------
@@ -456,9 +467,7 @@ def test_relabelled_graphs_give_the_same_analysis_and_sampled_rate(tmp_path, cap
         gs = omega_graph(Graph(n, edges))
         target = graph_state(gs.graph)
         mix = [(1.0 - eps, target), (eps, Ket(first_complement_vector(target), target.dims))]
-        rate = sum(
-            wa * wb * graph_pass_probability(gs, ka, kb)[0] for wa, ka in mix for wb, kb in mix
-        )
+        rate = iid_pair_rate(gs, mix)
         sigma = math.sqrt(rate * (1.0 - rate) / trials)
         for permuted in relabellings:
             path = write_graph(tmp_path, graph_text(n, permuted))

@@ -169,10 +169,30 @@ def malformed_strategy_docs(draw) -> dict:
 # Dims whose product, 4 * (2**62 + 1), wraps in int64 to 4, the Bell target's length.
 WRAPPED_DIMS_DOC = dict(BELL_DOC, dims=[4, 4611686018427387905])
 
+# Values of the wrong JSON type, each of which a cast would turn into the Bell strategy.
+UNTYPED_DOCS = [
+    dict(BELL_DOC, dims=[2.7, 2]),
+    dict(BELL_DOC, dims=[True, 4]),
+    dict(BELL_DOC, dims=["2", "2"]),
+    dict(BELL_DOC, copies=1.9),
+    dict(BELL_DOC, copies=True),
+    dict(BELL_DOC, decomposition=[dict(e, p=str(e["p"])) for e in BELL_DOC["decomposition"]]),
+    dict(BELL_DOC, target=[[str(re), str(im)] for re, im in BELL_DOC["target"]]),
+]
+
+
+def under_both_commands(docs):
+    """One explicit example per document under analyze and under simulate."""
+    def decorate(test):
+        for doc in docs:
+            for command in ("analyze", "simulate"):
+                test = example(doc=doc, command=command)(test)
+        return test
+    return decorate
+
 
 @given(doc=malformed_strategy_docs(), command=st.sampled_from(["analyze", "simulate"]))
-@example(doc=WRAPPED_DIMS_DOC, command="analyze")
-@example(doc=WRAPPED_DIMS_DOC, command="simulate")
+@under_both_commands([WRAPPED_DIMS_DOC, *UNTYPED_DOCS])
 @settings(max_examples=200, deadline=None)
 def test_malformed_strategy_files_exit_2_with_one_line(doc, command):
     run_on_file(json.dumps(doc), [command, "--strategy"])
@@ -191,11 +211,13 @@ def test_simulate_trial_counts_past_int64_exit_2_with_one_line(trials):
 
 
 @given(text=TEXT)
+# Nested past the JSON decoder's recursion limit, also as raised while Hypothesis runs a test.
+@example(text="[" * 100_000 + "]" * 100_000)
 @settings(max_examples=100, deadline=None)
 def test_strategy_files_that_are_not_objects_exit_2_with_one_line(text):
     try:
         parsed = json.loads(text)
-    except ValueError:
+    except (ValueError, RecursionError):
         parsed = None
     if isinstance(parsed, dict):
         text = "[" + text + "]"

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import random_unit, traced_peak_mib
-from graphgen import PATH2, TRIANGLE, ring
+from graphgen import PATH2, TRIANGLE, graph_mix, iid_pair_rate, ring
 from qsvkit import montecarlo, strategy
 from qsvkit.ghz import mub_strategy_d4
 from qsvkit.graph_strategy import GraphStrategy, graph_pass_probability, omega_graph
@@ -31,12 +31,6 @@ from reference import (
     sphere_max,
     worst_case_search,
 )
-
-
-def graph_mix(g: Graph, weight: float) -> list[tuple[float, Ket]]:
-    target = graph_state(g)
-    perp = orthonormal_complement(target)[:, 0]
-    return [(weight, target), (1.0 - weight, Ket(perp, target.dims))]
 
 
 def three_sigma(p: float, trials: int) -> float:
@@ -194,10 +188,7 @@ def test_graph_simulation_tracks_exact_rate():
     for g in (PATH2, TRIANGLE):
         gs = omega_graph(g, matrix_free=False)
         mix = graph_mix(g, 0.85)
-        exact = 0.0
-        for wa, ka in mix:
-            for wb, kb in mix:
-                exact += wa * wb * graph_pass_probability(gs, ka, kb)[0]
+        exact = iid_pair_rate(gs, mix)
         trials = 100000
         _, p_emp, stderr = simulate_protocol(gs, TrialConfig(trials, 7, mix))
         assert abs(p_emp - exact) <= three_sigma(exact, trials)
@@ -261,9 +252,8 @@ def test_decomposition_guards(rng):
 
     tt = np.kron(np.kron(target.amplitudes, target.amplitudes), target.amplitudes)
     omega3 = Operator(np.outer(tt, tt.conj()), (2, 2, 2), hermitian=True)
-    s3 = Strategy(omega3, target, 3, [(1.0, omega3)])
-    with pytest.raises(ValueError, match="at most two copies"):
-        simulate_protocol(s3, TrialConfig(10, 1, target))
+    with pytest.raises(ValueError, match="copy count"):
+        Strategy(omega3, target, 3, [(1.0, omega3)])
 
 
 # ---------------------------------------------------------------------
@@ -351,11 +341,7 @@ def pinned_rate(name: str) -> float:
     subject, cfg = pinned_case(name)
     source = cfg.source
     if name in RING_CASES:
-        return sum(
-            wa * wb * graph_pass_probability(subject, ka, kb)[0]
-            for wa, ka in source
-            for wb, kb in source
-        )
+        return iid_pair_rate(subject, source)
     if name == "ring4-composite":
         omega = omega_graph(ring(4), matrix_free=False).strategy.omega.entries
     else:
@@ -655,7 +641,7 @@ def test_a_run_of_10_to_the_15_trials_takes_under_a_second():
     # The run's cost is one multinomial and one binomial per drawn key.
     gs = omega_graph(PATH2)
     mix = graph_mix(PATH2, 0.95)
-    rate = sum(wa * wb * graph_pass_probability(gs, ka, kb)[0] for wa, ka in mix for wb, kb in mix)
+    rate = iid_pair_rate(gs, mix)
     trials = 10**15
     start = time.perf_counter()
     passes, _, _ = simulate_protocol(gs, TrialConfig(trials, 0, mix))
@@ -701,10 +687,7 @@ def test_fidelity_experiment_recovers_mixture_weight():
     f_hat, f_true = fidelity_experiment(gs, TrialConfig(trials, 3, mix))
     assert f_true == pytest.approx(f_true_target, abs=1e-12)
     # cross terms vanish, so the exact pass rate is F^2 + (1-F)^2 q
-    exact = 0.0
-    for wa, ka in mix:
-        for wb, kb in mix:
-            exact += wa * wb * graph_pass_probability(gs, ka, kb)[0]
+    exact = iid_pair_rate(gs, mix)
     assert f_true_target**2 - 1e-12 <= exact <= f_true_target**2 + (1.0 - f_true_target) ** 2
     sigma_f = three_sigma(exact, trials) / (2.0 * math.sqrt(exact))
     assert abs(f_hat - math.sqrt(exact)) <= sigma_f
